@@ -7,7 +7,7 @@ all verified against a synthetic FMCW point-scatterer simulator.
 
 __version__ = "0.1.0"
 
-from .adc import AdcLayout, RadarCube, build_radar_cube, parse_raw_adc  # noqa: F401
+from .adc import AdcLayout, RadarCube, parse_cubes, serialize_cubes  # noqa: F401
 from .cfar import CfarParams, DetectionMask, RangeBinSet, cfar_alpha, detect_2d, select_range_bins  # noqa: F401
 from .config import RadarConfig, load_config  # noqa: F401
 from .fusion import FeatureTensor, MultiFrameTensor, fuse_add, stack_frames  # noqa: F401

@@ -4,9 +4,13 @@ Capture format (default layout): a stream of signed 16-bit little-endian
 samples in groups of ``lanes`` values. Within each group the first
 ``lanes/2`` values are the real parts of ``lanes/2`` consecutive complex
 samples and the last ``lanes/2`` values are the matching imaginary parts.
-Within one frame the groups are ordered chirp-major: for each chirp
-repetition, for each TX firing, one contiguous block of ``num_adc_samples``
-complex samples per RX channel.
+
+Within one frame the complex samples stream in the order (chirp m, tx t,
+rx r, sample n), and the sample at stream position (m, t, r, n) is cube
+element (n, m, v) with virtual antenna v = t * num_rx + r. Viewed as int16,
+a capture is the array (frame, m, t, r, n // half, re|im, half) with
+half = lanes/2; parsing and serializing are one transpose of that array
+to and from (frame, n, m, v).
 """
 
 from __future__ import annotations
@@ -75,119 +79,56 @@ def frame_byte_size(layout: AdcLayout, config: RadarConfig) -> int:
     return n_complex * 2 * layout.bytes_per_sample
 
 
-def _deinterleave(block: np.ndarray, lanes: int) -> np.ndarray:
-    """Group-of-lanes int stream -> complex128 stream, order preserved."""
-    half = lanes // 2
-    groups = block.reshape(-1, lanes).astype(np.float64)
-    return (groups[:, :half] + 1j * groups[:, half:]).reshape(-1)
-
-
-def _interleave(samples: np.ndarray, lanes: int) -> np.ndarray:
-    half = lanes // 2
-    pairs = samples.reshape(-1, half)
-    out = np.empty((pairs.shape[0], lanes))
-    out[:, :half] = pairs.real
-    out[:, half:] = pairs.imag
-    return np.round(out.reshape(-1)).astype("<i2")
-
-
-def parse_raw_adc(data: bytes, layout: AdcLayout, config: RadarConfig) -> np.ndarray:
-    """Decode a capture into per-channel complex sample sequences.
-
-    Returns an array of shape (num_frames, num_rx, samples_per_channel) where
-    samples_per_channel = num_chirps * num_tx * num_adc_samples, ordered by
-    acquisition time. Values are widened to float64; phase is preserved.
-    """
-    fsize = frame_byte_size(layout, config)
-    if len(data) == 0 or len(data) % fsize:
-        raise TruncatedCaptureError(fsize, len(data))
-    if config.num_adc_samples % (layout.lanes // 2):
+def _shapes(num_frames: int, layout: AdcLayout, config: RadarConfig) -> tuple:
+    """(lane, grid) shapes of ``num_frames`` frames; see the module docstring."""
+    half = layout.lanes // 2
+    if config.num_adc_samples % half:
         raise AdcError(
             f"num_adc_samples={config.num_adc_samples} is not a multiple of "
-            f"lanes/2={layout.lanes // 2}"
+            f"lanes/2={half}"
         )
-    raw = np.frombuffer(data, dtype="<i2")
-    stream = _deinterleave(raw, layout.lanes)
-    num_frames = len(data) // fsize
-    per_chan = config.num_chirps * config.num_tx * config.num_adc_samples
-    # stream order per frame: (chirp, tx, rx, sample)
-    frames = stream.reshape(
-        num_frames, config.num_chirps * config.num_tx, config.num_rx,
-        config.num_adc_samples,
-    )
-    return np.ascontiguousarray(frames.transpose(0, 2, 1, 3)).reshape(
-        num_frames, config.num_rx, per_chan
-    )
-
-
-def serialize_channels(channels: np.ndarray, layout: AdcLayout, config: RadarConfig) -> bytes:
-    """Inverse of parse_raw_adc for one frame or a stack of frames."""
-    channels = np.asarray(channels, dtype=np.complex128)
-    if channels.ndim == 2:
-        channels = channels[np.newaxis]
-    per_chan = config.num_chirps * config.num_tx * config.num_adc_samples
-    if channels.shape[1:] != (config.num_rx, per_chan):
-        raise AdcError(
-            f"channel block shape {channels.shape[1:]} does not match "
-            f"({config.num_rx}, {per_chan})"
-        )
-    blocks = channels.reshape(
-        -1, config.num_rx, config.num_chirps * config.num_tx, config.num_adc_samples
-    ).transpose(0, 2, 1, 3)
-    return _interleave(np.ascontiguousarray(blocks).reshape(-1), layout.lanes).tobytes()
-
-
-def build_radar_cube(
-    channels: np.ndarray,
-    config: RadarConfig,
-    frame_index: int = 0,
-    radar_id: str = HORIZONTAL,
-) -> RadarCube:
-    """Reindex one frame of per-channel sequences into a RadarCube.
-
-    Virtual antenna v = tx_index * num_rx + rx_index; pure re-indexing,
-    no value is modified.
-    """
-    channels = np.asarray(channels, dtype=np.complex128)
-    expected = config.num_rx * config.num_chirps * config.num_tx * config.num_adc_samples
-    if channels.size != expected:
-        raise AdcError(
-            f"sample count mismatch: got {channels.size}, config requires {expected}"
-        )
-    ch = channels.reshape(
-        config.num_rx, config.num_chirps, config.num_tx, config.num_adc_samples
-    )
-    # (r, m, t, n) -> (n, m, t, r) -> (n, m, v) with v = t*num_rx + r
-    data = np.ascontiguousarray(ch.transpose(3, 1, 2, 0)).reshape(
-        config.num_adc_samples, config.num_chirps, config.num_virtual
-    )
-    return RadarCube(data=data, frame_index=frame_index, radar_id=radar_id)
-
-
-def cube_to_channels(cube: RadarCube, config: RadarConfig) -> np.ndarray:
-    """Inverse of build_radar_cube: cube -> (num_rx, samples_per_channel)."""
-    n, m, v = cube.data.shape
-    if (n, m, v) != (config.num_adc_samples, config.num_chirps, config.num_virtual):
-        raise AdcError(
-            f"cube shape {(n, m, v)} does not match config "
-            f"{(config.num_adc_samples, config.num_chirps, config.num_virtual)}"
-        )
-    grid = cube.data.reshape(n, m, config.num_tx, config.num_rx)
-    per_chan = m * config.num_tx * n
-    return np.ascontiguousarray(grid.transpose(3, 1, 2, 0)).reshape(config.num_rx, per_chan)
+    groups = config.num_adc_samples // half
+    m, t, r = config.num_chirps, config.num_tx, config.num_rx
+    return (num_frames, m, t, r, groups, 2, half), (num_frames, groups, half, m, t, r)
 
 
 def parse_cubes(
     data: bytes, layout: AdcLayout, config: RadarConfig, radar_id: str = HORIZONTAL
 ) -> list[RadarCube]:
-    """Parse a capture straight into one RadarCube per frame."""
-    frames = parse_raw_adc(data, layout, config)
+    """Parse a capture straight into one RadarCube per frame.
+
+    The cubes are views of one (frame, n, m, v) complex128 array, written by
+    one transposed copy of the real lanes and one of the imaginary lanes.
+    """
+    fsize = frame_byte_size(layout, config)
+    if len(data) == 0 or len(data) % fsize:
+        raise TruncatedCaptureError(fsize, len(data))
+    num_frames = len(data) // fsize
+    lane_shape, grid_shape = _shapes(num_frames, layout, config)
+    lanes = np.frombuffer(data, dtype="<i2").reshape(lane_shape)
+    grid = np.empty(grid_shape, dtype=np.complex128)
+    # (frame, chirp, tx, rx, group, lane) -> (frame, group, lane, chirp, tx, rx)
+    grid.real = lanes[..., 0, :].transpose(0, 4, 5, 1, 2, 3)
+    grid.imag = lanes[..., 1, :].transpose(0, 4, 5, 1, 2, 3)
+    stack = grid.reshape(
+        num_frames, config.num_adc_samples, config.num_chirps, config.num_virtual
+    )
     return [
-        build_radar_cube(frame, config, frame_index=i, radar_id=radar_id)
-        for i, frame in enumerate(frames)
+        RadarCube(data=frame, frame_index=i, radar_id=radar_id)
+        for i, frame in enumerate(stack)
     ]
 
 
 def serialize_cubes(cubes: list[RadarCube], layout: AdcLayout, config: RadarConfig) -> bytes:
-    stack = np.stack([cube_to_channels(c, config) for c in cubes])
-    return serialize_channels(stack, layout, config)
+    """Inverse of parse_cubes; real and imaginary parts are rounded to int16."""
+    shape = (config.num_adc_samples, config.num_chirps, config.num_virtual)
+    lane_shape, grid_shape = _shapes(len(cubes), layout, config)
+    lanes = np.empty(lane_shape, dtype="<i2")
+    for out, cube in zip(lanes, cubes):
+        if cube.data.shape != shape:
+            raise AdcError(f"cube shape {cube.data.shape} does not match config {shape}")
+        # (group, lane, chirp, tx, rx) -> (chirp, tx, rx, group, lane)
+        grid = cube.data.reshape(grid_shape[1:]).transpose(2, 3, 4, 0, 1)
+        out[..., 0, :] = np.round(grid.real)
+        out[..., 1, :] = np.round(grid.imag)
+    return lanes.tobytes()

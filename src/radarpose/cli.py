@@ -34,6 +34,8 @@ def _manifest_path(output: str) -> str:
 
 def cmd_simulate(args) -> int:
     config = load_config(args.config)
+    if args.frames < 1:
+        raise sim.SimError(f"--frames must be >= 1, got {args.frames}")
     scene = sim.SceneSpec.load(args.scene)
     if args.seed is not None:
         scene = sim.SceneSpec(targets=scene.targets, snr_db=scene.snr_db, noise_seed=args.seed)
@@ -275,12 +277,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (adc.AdcError, tensorio.TensorFormatError, PoseError,
-            json.JSONDecodeError, FileNotFoundError, KeyError) as exc:
+    except (adc.AdcError, tensorio.TensorFormatError, PoseError, sim.SceneError,
+            json.JSONDecodeError, UnicodeDecodeError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (cfar.CfarError, probmap.ProbMapError, fusion.FusionError,
-            sim.SimError, spectral.SpectralError, ValueError) as exc:
+            sim.SimError, spectral.SpectralError) as exc:
         print(f"contract violation: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
 

@@ -88,21 +88,3 @@ def fuse_add(f1: FeatureTensor, f2: FeatureTensor) -> FeatureTensor:
         values=f1.values + f2.values, layer_id=f1.layer_id, source=FUSED
     )
 
-
-def align_nearest(values: np.ndarray, spatial_shape: tuple[int, ...]) -> np.ndarray:
-    """Nearest-neighbor resample of the spatial axes (all but the first)."""
-    if len(spatial_shape) != values.ndim - 1:
-        raise FusionError(
-            f"target rank {len(spatial_shape)} does not match spatial rank "
-            f"{values.ndim - 1}"
-        )
-    out = values
-    for axis, target in enumerate(spatial_shape, start=1):
-        if target < 1:
-            raise FusionError("target sizes must be >= 1")
-        src = out.shape[axis]
-        if src == target:
-            continue
-        idx = np.minimum((np.arange(target) * src) // target, src - 1)
-        out = np.take(out, idx, axis=axis)
-    return out

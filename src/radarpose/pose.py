@@ -62,13 +62,21 @@ class KeypointSet:
 
     @staticmethod
     def from_json(doc: dict) -> "KeypointSet":
+        if not isinstance(doc, dict) or not isinstance(doc.get("joints"), list):
+            raise PoseError("a keypoint frame must be an object with a 'joints' list")
+        if not all(isinstance(j, dict) and isinstance(j.get("name"), str) for j in doc["joints"]):
+            raise PoseError("every joint must be an object with a string 'name'")
         joints = {j["name"]: j for j in doc["joints"]}
         missing = set(JOINT_NAMES) - joints.keys()
         if missing:
             raise PoseError(f"missing joints: {sorted(missing)}")
-        xy = np.array([[joints[n]["x"], joints[n]["y"]] for n in JOINT_NAMES], dtype=float)
-        vis = np.array([int(joints[n]["v"]) for n in JOINT_NAMES])
-        return KeypointSet(xy=xy, visibility=vis, area=float(doc["area"]))
+        try:
+            xy = np.array([[joints[n]["x"], joints[n]["y"]] for n in JOINT_NAMES], dtype=float)
+            vis = np.array([int(joints[n]["v"]) for n in JOINT_NAMES])
+            area = float(doc["area"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise PoseError(f"bad keypoint frame: {type(exc).__name__}: {exc}") from exc
+        return KeypointSet(xy=xy, visibility=vis, area=area)
 
     def to_json(self, frame: int = 0) -> dict:
         return {
@@ -123,11 +131,6 @@ def bce_loss(pred: np.ndarray, target: np.ndarray) -> float:
     return float(-(target * np.log(p) + (1.0 - target) * np.log(1.0 - p)).sum())
 
 
-def total_loss(refined: np.ndarray, initial: np.ndarray, target: np.ndarray) -> float:
-    """Two-term objective: BCE of both heatmap sets against the ground truth."""
-    return bce_loss(refined, target) + bce_loss(initial, target)
-
-
 def oks(pred: KeypointSet, gt: KeypointSet, params: OksParams = OksParams()) -> float:
     """Object keypoint similarity over the ground truth's visible joints."""
     vis = gt.visibility.astype(bool)
@@ -165,14 +168,25 @@ def load_keypoint_frames(path: str | Path) -> list[KeypointSet]:
     doc = json.loads(Path(path).read_text())
     if isinstance(doc, dict):
         doc = [doc]
+    if not isinstance(doc, list):
+        raise PoseError(f"{path}: expected a keypoint frame or a list of frames")
     return [KeypointSet.from_json(frame) for frame in doc]
+
+
+def _sigma(value, where: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise PoseError(f"{where}: bad sigma {value!r}") from exc
 
 
 def load_oks_params(path: str | Path) -> OksParams:
     """Read sigmas from a key=value file (sigma_<joint> = value) or JSON list."""
     text = Path(path).read_text().strip()
     if text.startswith("["):
-        return OksParams(sigmas=tuple(float(s) for s in json.loads(text)))
+        return OksParams(sigmas=tuple(
+            _sigma(s, f"entry {i}") for i, s in enumerate(json.loads(text))
+        ))
     values = dict(zip(JOINT_NAMES, DEFAULT_SIGMAS))
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -182,7 +196,7 @@ def load_oks_params(path: str | Path) -> OksParams:
         key = key.strip()
         if not key.startswith("sigma_") or key[len("sigma_"):] not in JOINT_NAMES:
             raise PoseError(f"line {lineno}: unknown key {key!r}")
-        values[key[len("sigma_"):]] = float(val.strip())
+        values[key[len("sigma_"):]] = _sigma(val.strip(), f"line {lineno}")
     return OksParams(sigmas=tuple(values[n] for n in JOINT_NAMES))
 
 

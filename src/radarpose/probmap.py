@@ -112,16 +112,11 @@ def angle_spectrum(
     return RangeAngleVector(values=values, bins=bins, angle_kind=axis, empty_rows=empty)
 
 
-def normalize(v: RangeAngleVector, mode: str = "l1") -> RangeAngleVector:
-    """Per-range-row normalization; all-zero rows stay zero and are flagged."""
+def normalize(v: RangeAngleVector) -> RangeAngleVector:
+    """Per-range-row L1 normalization; all-zero rows stay zero and are flagged."""
     if np.any(v.values < 0):
         raise ProbMapError("negative values; angle spectra must be magnitudes")
-    if mode == "l1":
-        norms = v.values.sum(axis=1)
-    elif mode == "l2":
-        norms = np.sqrt((v.values ** 2).sum(axis=1))
-    else:
-        raise ProbMapError(f"unknown normalization mode {mode!r}")
+    norms = v.values.sum(axis=1)
     empty = norms == 0
     safe = np.where(empty, 1.0, norms)
     return RangeAngleVector(
@@ -146,14 +141,12 @@ def _expand_to(v: RangeAngleVector, union: tuple[int, ...]) -> tuple[np.ndarray,
     return out, empty
 
 
-def probability_map(
-    v_ra: RangeAngleVector, v_re: RangeAngleVector, bins: str = "union"
-) -> ProbabilityMap:
+def probability_map(v_ra: RangeAngleVector, v_re: RangeAngleVector) -> ProbabilityMap:
     """Outer product of normalized azimuth and elevation rows per range bin.
 
-    Bin sets from the two radars may differ: with ``bins="union"`` a missing
-    radar's row is replaced by the uniform distribution (keeps unit sum);
-    with ``bins="intersection"`` only shared bins are kept.
+    Bin sets from the two radars may differ: the map covers their union, and
+    a radar's missing row is replaced by the uniform distribution (keeps unit
+    sum).
     """
     if not (v_ra.normalized and v_re.normalized):
         raise ProbMapError("both vectors must be normalized")
@@ -161,15 +154,10 @@ def probability_map(
         raise ProbMapError(
             f"expected azimuth x elevation, got {v_ra.angle_kind} x {v_re.angle_kind}"
         )
-    if bins == "union":
-        shared = tuple(sorted(set(v_ra.bins) | set(v_re.bins)))
-    elif bins == "intersection":
-        shared = tuple(sorted(set(v_ra.bins) & set(v_re.bins)))
-    else:
-        raise ProbMapError(f"bins must be union|intersection, got {bins!r}")
-    bin_set = RangeBinSet(bins=shared)
-    az, az_empty = _expand_to(v_ra, shared)
-    el, el_empty = _expand_to(v_re, shared)
+    union = tuple(sorted(set(v_ra.bins) | set(v_re.bins)))
+    bin_set = RangeBinSet(bins=union)
+    az, az_empty = _expand_to(v_ra, union)
+    el, el_empty = _expand_to(v_re, union)
     values = az[:, :, None] * el[:, None, :]
     empty = az_empty | el_empty
     return ProbabilityMap(

@@ -30,6 +30,10 @@ class SimError(ValueError):
     pass
 
 
+class SceneError(ValueError):
+    """Raised for scene documents of the wrong shape or value types."""
+
+
 @dataclass(frozen=True)
 class Target:
     range_m: float
@@ -45,29 +49,51 @@ class Target:
             raise SimError("azimuth and elevation must be within (-pi/2, pi/2)")
 
 
+def _number(value, what: str):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SceneError(f"{what} must be a number, got {value!r}")
+    return value
+
+
+def _target_from_json(index: int, doc) -> Target:
+    if not isinstance(doc, dict) or "range" not in doc:
+        raise SceneError(f"target {index} must be an object with a 'range', got {doc!r}")
+    return Target(
+        range_m=_number(doc["range"], f"target {index} range"),
+        **{
+            key: _number(doc[key], f"target {index} {key}")
+            for key in ("radial_velocity", "azimuth", "elevation", "rcs_amplitude")
+            if key in doc
+        },
+    )
+
+
 @dataclass(frozen=True)
 class SceneSpec:
     targets: tuple[Target, ...] = ()
     snr_db: float | None = None  # None disables noise
     noise_seed: int = 0
 
+    def __post_init__(self):
+        if self.noise_seed < 0:
+            raise SimError(f"noise_seed must be >= 0, got {self.noise_seed}")
+
     @staticmethod
     def from_json(text: str) -> "SceneSpec":
         doc = json.loads(text)
-        targets = tuple(
-            Target(
-                range_m=t["range"],
-                radial_velocity=t.get("radial_velocity", 0.0),
-                azimuth=t.get("azimuth", 0.0),
-                elevation=t.get("elevation", 0.0),
-                rcs_amplitude=t.get("rcs_amplitude", 1.0),
-            )
-            for t in doc.get("targets", [])
-        )
+        if not isinstance(doc, dict):
+            raise SceneError(f"scene must be a JSON object, got {type(doc).__name__}")
+        targets = doc.get("targets", [])
+        if not isinstance(targets, list):
+            raise SceneError(f"targets must be a list, got {type(targets).__name__}")
+        snr_db = doc.get("snr_db")
+        seed = doc.get("noise_seed", 0)
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise SceneError(f"noise_seed must be an integer, got {seed!r}")
         return SceneSpec(
-            targets=targets,
-            snr_db=doc.get("snr_db"),
-            noise_seed=int(doc.get("noise_seed", 0)),
+            targets=tuple(_target_from_json(i, t) for i, t in enumerate(targets)),
+            snr_db=None if snr_db is None else _number(snr_db, "snr_db"),
+            noise_seed=seed,
         )
 
     @staticmethod

@@ -69,7 +69,6 @@ class RangeDopplerMap:
 
     data: np.ndarray
     fft_lengths: tuple[int, int]
-    is_magnitude: bool = False
 
 
 def fft4d(cube: RadarCube, config: RadarConfig, pad=None) -> Spectrum4D:
@@ -154,6 +153,4 @@ def range_doppler_map(cube: RadarCube, pad=None) -> RangeDopplerMap:
 
 def magnitude_map(rd: RangeDopplerMap) -> np.ndarray:
     """Antenna-summed magnitude map, the CFAR detection input."""
-    if rd.is_magnitude:
-        return rd.data.sum(axis=2)
     return np.abs(rd.data).sum(axis=2)

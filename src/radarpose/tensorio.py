@@ -7,6 +7,7 @@ as unsigned 64-bit little-endian, one element-tag byte (0 = real64,
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -60,7 +61,7 @@ def read_tensor(path: str | Path) -> np.ndarray:
         dtype, itemsize = np.dtype("<c16"), 16
     else:
         raise TensorFormatError(f"{path}: unknown element tag {tag}")
-    count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
+    count = math.prod(shape)  # Python ints: a huge axis table cannot wrap to a small count
     expected = off + count * itemsize
     if len(raw) != expected:
         raise TensorFormatError(

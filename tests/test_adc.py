@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import cube_reindex_loops, decode_adc_bytes
 from radarpose.adc import (
     AdcError,
     AdcLayout,
+    RadarCube,
     TruncatedCaptureError,
-    build_radar_cube,
-    cube_to_channels,
     frame_byte_size,
     parse_cubes,
-    parse_raw_adc,
-    serialize_channels,
+    serialize_cubes,
 )
 from radarpose.config import RadarConfig
 
@@ -29,13 +29,13 @@ def encode_int16(values):
 
 def test_empty_buffer_is_truncated(small_config):
     with pytest.raises(TruncatedCaptureError, match="truncated"):
-        parse_raw_adc(b"", AdcLayout(), small_config)
+        parse_cubes(b"", AdcLayout(), small_config)
 
 
 def test_partial_frame_is_truncated(small_config):
     size = frame_byte_size(AdcLayout(), small_config)
     with pytest.raises(TruncatedCaptureError) as err:
-        parse_raw_adc(b"\x00" * (size - 2), AdcLayout(), small_config)
+        parse_cubes(b"\x00" * (size - 2), AdcLayout(), small_config)
     assert err.value.expected == size
     assert err.value.actual == size - 2
 
@@ -43,54 +43,44 @@ def test_partial_frame_is_truncated(small_config):
 def test_hand_built_sixteen_byte_block():
     # samples {1..8}: groups of 4 split into (real, real, imag, imag)
     cfg = two_channel_config()
-    frames = parse_raw_adc(encode_int16([1, 2, 3, 4, 5, 6, 7, 8]), AdcLayout(), cfg)
-    assert frames.shape == (1, 2, 2)
-    np.testing.assert_array_equal(frames[0, 0], [1 + 3j, 2 + 4j])
-    np.testing.assert_array_equal(frames[0, 1], [5 + 7j, 6 + 8j])
+    (cube,) = parse_cubes(encode_int16([1, 2, 3, 4, 5, 6, 7, 8]), AdcLayout(), cfg)
+    assert cube.data.shape == (2, 1, 2)
+    np.testing.assert_array_equal(cube.data[:, 0, 0], [1 + 3j, 2 + 4j])
+    np.testing.assert_array_equal(cube.data[:, 0, 1], [5 + 7j, 6 + 8j])
 
 
 def test_hand_built_block_matches_index_decoder():
     cfg = two_channel_config()
     data = encode_int16([1, 2, 3, 4, 5, 6, 7, 8])
-    frames = parse_raw_adc(data, AdcLayout(), cfg)
+    (cube,) = parse_cubes(data, AdcLayout(), cfg)
     oracle = decode_adc_bytes(data, lanes=4, num_rx=2, num_adc_samples=2, num_chirp_slots=1)
     for r in range(2):
-        np.testing.assert_array_equal(frames[0, r], oracle[r])
+        np.testing.assert_array_equal(cube.data[:, 0, r], oracle[r])
 
 
 def test_all_zero_bytes(small_config):
     size = frame_byte_size(AdcLayout(), small_config)
-    frames = parse_raw_adc(b"\x00" * (2 * size), AdcLayout(), small_config)
-    assert frames.shape[0] == 2
-    assert not frames.any()
+    cubes = parse_cubes(b"\x00" * (2 * size), AdcLayout(), small_config)
+    assert len(cubes) == 2
+    assert not any(c.data.any() for c in cubes)
 
 
 def test_phase_preserved_negative_samples():
     cfg = two_channel_config()
-    frames = parse_raw_adc(encode_int16([-1, 2, -3, 4, 5, -6, 7, -8]), AdcLayout(), cfg)
-    np.testing.assert_array_equal(frames[0, 0], [-1 - 3j, 2 + 4j])
-    np.testing.assert_array_equal(frames[0, 1], [5 + 7j, -6 - 8j])
+    (cube,) = parse_cubes(encode_int16([-1, 2, -3, 4, 5, -6, 7, -8]), AdcLayout(), cfg)
+    np.testing.assert_array_equal(cube.data[:, 0, 0], [-1 - 3j, 2 + 4j])
+    np.testing.assert_array_equal(cube.data[:, 0, 1], [5 + 7j, -6 - 8j])
 
 
 def test_cube_shape(small_config):
-    channels = np.zeros((2, 16), dtype=complex)
-    cube = build_radar_cube(channels, small_config)
+    size = frame_byte_size(AdcLayout(), small_config)
+    (cube,) = parse_cubes(b"\x00" * size, AdcLayout(), small_config)
     assert cube.data.shape == (4, 2, 4)
 
 
 def test_constant_input_gives_constant_cube(small_config):
-    channels = np.full((2, 16), 7 - 2j)
-    cube = build_radar_cube(channels, small_config)
+    (cube,) = parse_cubes(encode_int16([7, 7, -2, -2] * 16), AdcLayout(), small_config)
     assert np.all(cube.data == 7 - 2j)
-
-
-def test_ramp_reindex_matches_loop_oracle(small_config):
-    # distinct values so any indexing slip is visible
-    per_chan = 16
-    channels = (np.arange(2 * per_chan) + 1j * (100 + np.arange(2 * per_chan))).reshape(2, per_chan)
-    cube = build_radar_cube(channels, small_config)
-    oracle = cube_reindex_loops([list(c) for c in channels], 4, 2, 2, 2)
-    np.testing.assert_array_equal(cube.data, oracle)
 
 
 def test_bytes_ramp_end_to_end_matches_oracles(small_config):
@@ -102,16 +92,13 @@ def test_bytes_ramp_end_to_end_matches_oracles(small_config):
     np.testing.assert_array_equal(cubes[0].data, cube_oracle)
 
 
-def test_sample_count_mismatch(small_config):
-    with pytest.raises(AdcError, match="mismatch"):
-        build_radar_cube(np.zeros((2, 15), dtype=complex), small_config)
-
-
 def test_multiset_preserved(small_config, rng):
-    channels = rng.integers(-500, 500, size=(2, 16)) + 1j * rng.integers(-500, 500, size=(2, 16))
-    cube = build_radar_cube(channels.astype(complex), small_config)
-    assert sorted(cube.data.ravel(), key=lambda z: (z.real, z.imag)) == sorted(
-        channels.ravel(), key=lambda z: (z.real, z.imag)
+    data = encode_int16(rng.integers(-500, 500, size=64))
+    (cube,) = parse_cubes(data, AdcLayout(), small_config)
+    channels = decode_adc_bytes(data, lanes=4, num_rx=2, num_adc_samples=4, num_chirp_slots=4)
+    key = lambda z: (z.real, z.imag)  # noqa: E731
+    assert sorted(cube.data.ravel(), key=key) == sorted(
+        (z for c in channels for z in c), key=key
     )
 
 
@@ -119,25 +106,64 @@ def test_serialize_round_trip(small_config, rng):
     size = frame_byte_size(AdcLayout(), small_config)
     data = rng.integers(-32768, 32768, size=size // 2, dtype=np.int64)
     raw = encode_int16(data)
-    frames = parse_raw_adc(raw, AdcLayout(), small_config)
-    assert serialize_channels(frames, AdcLayout(), small_config) == raw
+    cubes = parse_cubes(raw, AdcLayout(), small_config)
+    assert serialize_cubes(cubes, AdcLayout(), small_config) == raw
 
 
 def test_cube_round_trip(small_config, rng):
-    channels = rng.integers(-500, 500, size=(2, 16)).astype(complex)
-    cube = build_radar_cube(channels, small_config)
-    np.testing.assert_array_equal(cube_to_channels(cube, small_config), channels)
+    values = rng.integers(-500, 500, size=(2, 4, 2, 4))
+    cube = RadarCube(data=values[0] + 1j * values[1], frame_index=0, radar_id="horizontal")
+    raw = serialize_cubes([cube], AdcLayout(), small_config)
+    (back,) = parse_cubes(raw, AdcLayout(), small_config)
+    np.testing.assert_array_equal(back.data, cube.data)
 
 
 def test_chunked_parsing_is_identical(small_config, rng):
     size = frame_byte_size(AdcLayout(), small_config)
     raw = encode_int16(rng.integers(-100, 100, size=3 * size // 2))
-    whole = parse_raw_adc(raw, AdcLayout(), small_config)
+    whole = parse_cubes(raw, AdcLayout(), small_config)
     pieces = [
-        parse_raw_adc(raw[i * size:(i + 1) * size], AdcLayout(), small_config)
+        parse_cubes(raw[i * size:(i + 1) * size], AdcLayout(), small_config)[0]
         for i in range(3)
     ]
-    np.testing.assert_array_equal(whole, np.concatenate(pieces))
+    np.testing.assert_array_equal(
+        np.stack([c.data for c in whole]), np.stack([c.data for c in pieces])
+    )
+
+
+@st.composite
+def captures(draw):
+    cfg = RadarConfig(
+        num_adc_samples=2 * draw(st.integers(1, 4)),
+        num_chirps=draw(st.integers(1, 3)),
+        num_tx=draw(st.integers(1, 3)),
+        num_rx=draw(st.integers(1, 4)),
+        sample_rate=1e7, chirp_slope=3e13, carrier_freq=7.7e10,
+    )
+    size = frame_byte_size(AdcLayout(), cfg)
+    frames = draw(st.integers(1, 3))
+    return cfg, draw(st.binary(min_size=frames * size, max_size=frames * size))
+
+
+@settings(max_examples=60, deadline=None)
+@given(captures())
+def test_parse_matches_loop_oracles_for_any_geometry(capture):
+    cfg, raw = capture
+    size = frame_byte_size(AdcLayout(), cfg)
+    cubes = parse_cubes(raw, AdcLayout(), cfg)
+    assert len(cubes) == len(raw) // size
+    for i, cube in enumerate(cubes):
+        channels = decode_adc_bytes(
+            raw[i * size:(i + 1) * size], lanes=4, num_rx=cfg.num_rx,
+            num_adc_samples=cfg.num_adc_samples,
+            num_chirp_slots=cfg.num_chirps * cfg.num_tx,
+        )
+        expected = cube_reindex_loops(
+            channels, cfg.num_adc_samples, cfg.num_chirps, cfg.num_tx, cfg.num_rx
+        )
+        assert cube.frame_index == i
+        np.testing.assert_array_equal(cube.data, expected)
+    assert serialize_cubes(cubes, AdcLayout(), cfg) == raw
 
 
 def test_layout_validation():
@@ -145,3 +171,22 @@ def test_layout_validation():
         AdcLayout(bytes_per_sample=4)
     with pytest.raises(AdcError):
         AdcLayout(lanes=3)
+
+
+def test_samples_must_fill_whole_lane_groups():
+    cfg = RadarConfig(
+        num_adc_samples=3, num_chirps=1, num_tx=1, num_rx=1,
+        sample_rate=1e7, chirp_slope=3e13, carrier_freq=7.7e10,
+    )
+    cube = RadarCube(data=np.zeros((3, 1, 1), complex), frame_index=0, radar_id="horizontal")
+    with pytest.raises(AdcError, match="multiple of lanes/2"):
+        parse_cubes(b"\x00" * 12, AdcLayout(lanes=4), cfg)
+    with pytest.raises(AdcError, match="multiple of lanes/2"):
+        serialize_cubes([cube], AdcLayout(lanes=4), cfg)
+    assert serialize_cubes([cube], AdcLayout(lanes=2), cfg) == b"\x00" * 12
+
+
+def test_serialize_rejects_wrong_cube_shape(small_config):
+    cube = RadarCube(data=np.zeros((4, 2, 3), complex), frame_index=0, radar_id="horizontal")
+    with pytest.raises(AdcError, match="does not match config"):
+        serialize_cubes([cube], AdcLayout(), small_config)

@@ -254,3 +254,31 @@ def test_eval_missing_joint_exits_3(tmp_path):
     assert main([
         "eval", str(tmp_path / "pred.json"), str(tmp_path / "gt.json"),
     ]) == EXIT_DATA
+
+
+@pytest.mark.parametrize("doc", [
+    {"targets": 5},
+    {"targets": [{"range": "far"}]},
+])
+def test_simulate_malformed_scene_exits_3(tmp_path, cfg_file, doc):
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(doc))
+    assert main([
+        "simulate", str(scene), "--config", cfg_file, "--output", str(tmp_path / "cap.bin"),
+    ]) == EXIT_DATA
+
+
+def test_eval_malformed_frames_exit_3(tmp_path):
+    (tmp_path / "pred.json").write_text(json.dumps([{"joints": 3, "area": 1}]))
+    (tmp_path / "gt.json").write_text(json.dumps([keypoint_doc()]))
+    assert main([
+        "eval", str(tmp_path / "pred.json"), str(tmp_path / "gt.json"),
+    ]) == EXIT_DATA
+
+
+def test_simulate_zero_frames_exits_4(tmp_path, cfg_file):
+    scene = write_scene(tmp_path)
+    assert main([
+        "simulate", scene, "--config", cfg_file, "--output", str(tmp_path / "cap.bin"),
+        "--frames", "0",
+    ]) == EXIT_CONTRACT

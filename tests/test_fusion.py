@@ -9,7 +9,6 @@ from radarpose.fusion import (
     FUSED,
     FeatureTensor,
     FusionError,
-    align_nearest,
     fuse_add,
     stack_frames,
 )
@@ -104,19 +103,3 @@ def test_feature_tensor_validation():
     with pytest.raises(FusionError, match="finite"):
         FeatureTensor(values=np.array([[np.inf]]), layer_id=1)
 
-
-def test_align_nearest_identity(rng):
-    x = rng.standard_normal((2, 4, 6))
-    np.testing.assert_array_equal(align_nearest(x, (4, 6)), x)
-
-
-def test_align_nearest_downsample():
-    x = np.arange(8.0)[None, :]  # one channel, 8 spatial
-    out = align_nearest(x, (4,))
-    np.testing.assert_array_equal(out[0], [0, 2, 4, 6])
-
-
-def test_align_nearest_upsample():
-    x = np.array([[1.0, 2.0]])
-    out = align_nearest(x, (4,))
-    np.testing.assert_array_equal(out[0], [1, 1, 2, 2])

@@ -16,7 +16,6 @@ from radarpose.pose import (
     gaussian_heatmap,
     load_keypoint_frames,
     oks,
-    total_loss,
 )
 
 
@@ -94,11 +93,6 @@ def test_bce_nonnegative_and_minimized_at_target(rng):
     for _ in range(5):
         perturbed = np.clip(g + rng.normal(scale=0.05, size=g.shape), 1e-6, 1 - 1e-6)
         assert bce_loss(perturbed, g) >= base
-
-
-def test_total_loss_is_two_term_sum(rng):
-    a, b, g = rng.random((2, 2, 2)), rng.random((2, 2, 2)), rng.random((2, 2, 2))
-    assert total_loss(a, b, g) == pytest.approx(bce_loss(a, g) + bce_loss(b, g))
 
 
 # ---------------------------------------------------------------- oks

@@ -73,11 +73,6 @@ def test_normalize_rejects_negative():
         normalize(vec([[-1.0, 2.0]]))
 
 
-def test_normalize_l2_mode():
-    out = normalize(vec([[3.0, 4.0]]), mode="l2")
-    np.testing.assert_allclose(out.values, [[0.6, 0.8]])
-
-
 # ---------------------------------------------------------------- probability_map
 
 def test_one_hot_outer_product():
@@ -137,13 +132,6 @@ def test_union_fills_missing_rows_uniformly():
     np.testing.assert_allclose(p.values[0], np.outer([1, 0], [1 / 3] * 3))
     np.testing.assert_allclose(p.values[1], np.outer([0.5, 0.5], [0, 1, 0]))
     np.testing.assert_allclose(p.values.sum(axis=(1, 2)), 1.0)
-
-
-def test_intersection_mode():
-    az = normalize(vec([[1.0, 0.0], [0.5, 0.5]], bins=[3, 4]))
-    el = normalize(vec([[0.0, 1.0]], kind="elevation", bins=[4]))
-    p = probability_map(az, el, bins="intersection")
-    assert list(p.range_bins) == [4]
 
 
 def test_requires_normalized_and_matching_kinds(rng):

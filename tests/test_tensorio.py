@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -62,4 +64,12 @@ def test_unknown_tag(tmp_path):
     raw[5 + 1 + 8] = 9  # element tag byte
     path.write_bytes(bytes(raw))
     with pytest.raises(TensorFormatError, match="tag"):
+        read_tensor(path)
+
+
+def test_axis_product_overflowing_int64_is_a_size_mismatch(tmp_path):
+    # 2**33 * 2**31 wraps to 0 in int64; the header must not pass as empty
+    path = tmp_path / "t.tensor"
+    path.write_bytes(MAGIC + bytes([1, 2]) + struct.pack("<QQ", 2**33, 2**31) + bytes([0]))
+    with pytest.raises(TensorFormatError, match="mismatch"):
         read_tensor(path)
