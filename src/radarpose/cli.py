@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterator
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -79,14 +81,32 @@ def _sim_outputs(args):
     return [(args.radar, args.output)]
 
 
-def _load_cubes(path: str, config, radar_id: str) -> list[adc.RadarCube]:
-    data = Path(path).read_bytes()
-    return adc.parse_cubes(data, adc.AdcLayout(), config, radar_id=radar_id)
+def _load_cubes(path: str, config, radar_id: str) -> tuple[int, Iterator[adc.RadarCube]]:
+    """Frame count of a capture and an iterator that parses one frame per step.
+
+    The capture length is checked here, before any frame is parsed; only the
+    raw bytes and the current frame's cube are held.
+    """
+    layout = adc.AdcLayout()
+    fsize = adc.frame_byte_size(layout, config)
+    view = memoryview(Path(path).read_bytes())
+    if len(view) == 0 or len(view) % fsize:
+        raise adc.TruncatedCaptureError(fsize, len(view))
+    num_frames = len(view) // fsize
+
+    def frames():
+        for i in range(num_frames):
+            (cube,) = adc.parse_cubes(
+                view[i * fsize:(i + 1) * fsize], layout, config, radar_id=radar_id
+            )
+            yield replace(cube, frame_index=i)
+
+    return num_frames, frames()
 
 
 def cmd_heatmap(args) -> int:
     config = load_config(args.config)
-    cubes = _load_cubes(args.adc, config, args.radar)
+    _, cubes = _load_cubes(args.adc, config, args.radar)
     frames = []
     for cube in cubes:
         if args.branch == "fft":
@@ -112,29 +132,26 @@ def cmd_heatmap(args) -> int:
 
 def cmd_probmap(args) -> int:
     config = load_config(args.config)
-    cubes_h = _load_cubes(args.adc_h, config, "horizontal")
-    cubes_v = _load_cubes(args.adc_v, config, "vertical")
-    if len(cubes_h) != len(cubes_v):
+    count_h, cubes_h = _load_cubes(args.adc_h, config, "horizontal")
+    count_v, cubes_v = _load_cubes(args.adc_v, config, "vertical")
+    if count_h != count_v:
         raise adc.AdcError(
-            f"frame count mismatch: horizontal has {len(cubes_h)}, "
-            f"vertical has {len(cubes_v)}"
+            f"frame count mismatch: horizontal has {count_h}, vertical has {count_v}"
         )
     params = cfar.CfarParams(guard=args.cfar_guard, reference=args.cfar_ref, pfa=args.pfa)
     angle_fft = args.angle_fft or spectral.next_pow2(config.num_virtual)
     pe = probmap.positional_encoding(angle_fft, angle_fft, args.pe_depth)
     outputs = []
     for ch, cv in zip(cubes_h, cubes_v):
-        bins_h = cfar.select_range_bins(
-            cfar.detect_2d(spectral.magnitude_map(spectral.range_doppler_map(ch)), params)
-        )
-        bins_v = cfar.select_range_bins(
-            cfar.detect_2d(spectral.magnitude_map(spectral.range_doppler_map(cv)), params)
-        )
+        rd_h = spectral.range_doppler_map(ch)
+        rd_v = spectral.range_doppler_map(cv)
+        bins_h = cfar.select_range_bins(cfar.detect_2d(spectral.magnitude_map(rd_h), params))
+        bins_v = cfar.select_range_bins(cfar.detect_2d(spectral.magnitude_map(rd_v), params))
         v_ra = probmap.normalize(
-            probmap.angle_spectrum(ch, config, bins_h, "azimuth", angle_fft=angle_fft)
+            probmap.angle_spectrum(rd_h, config, bins_h, "azimuth", angle_fft=angle_fft)
         )
         v_re = probmap.normalize(
-            probmap.angle_spectrum(cv, config, bins_v, "elevation", angle_fft=angle_fft)
+            probmap.angle_spectrum(rd_v, config, bins_v, "elevation", angle_fft=angle_fft)
         )
         pmap = probmap.probability_map(v_ra, v_re)
         encoded = probmap.encode_map(pmap, pe)

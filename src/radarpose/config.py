@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,10 +40,17 @@ class RadarConfig:
             if not isinstance(v, int) or v < 1:
                 raise ConfigError(f"{name} must be an integer >= 1, got {v!r}")
         for name in ("sample_rate", "chirp_slope", "carrier_freq", "frame_rate"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)!r}")
-        if self.antenna_spacing <= 0:
-            raise ConfigError("antenna_spacing must be > 0")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
+        if not 0 < self.antenna_spacing < math.inf:
+            raise ConfigError("antenna_spacing must be finite and > 0")
+        if not 0 <= self.chirp_period < math.inf:
+            raise ConfigError("chirp_period must be finite and >= 0")
+        if self.azimuth_antennas < 0 or self.elevation_antennas < 1:
+            raise ConfigError(
+                f"antenna geometry {self.azimuth_antennas}x{self.elevation_antennas} "
+                "needs azimuth_antennas >= 0 and elevation_antennas >= 1"
+            )
         az = self.azimuth_antennas or self.num_virtual
         if az * self.elevation_antennas != self.num_virtual:
             raise ConfigError(

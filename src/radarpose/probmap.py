@@ -12,7 +12,7 @@ import numpy as np
 from .adc import HORIZONTAL, RadarCube
 from .cfar import RangeBinSet
 from .config import RadarConfig
-from .spectral import AZIMUTH, ELEVATION, next_pow2, range_doppler_map
+from .spectral import AZIMUTH, ELEVATION, RangeDopplerMap, next_pow2, range_doppler_map
 
 
 class ProbMapError(ValueError):
@@ -79,7 +79,7 @@ def average_doppler(values: np.ndarray) -> np.ndarray:
 
 
 def angle_spectrum(
-    cube: RadarCube,
+    rd: RangeDopplerMap | RadarCube,
     config: RadarConfig,
     bins: RangeBinSet,
     axis: str,
@@ -89,15 +89,17 @@ def angle_spectrum(
     """Doppler-averaged angle magnitude spectra for the selected range bins.
 
     The horizontal radar provides azimuth, the vertical radar elevation; the
-    FFT runs across the virtual antenna axis of the range/Doppler-resolved
-    data, with the same range FFT length used for detection (``rd_pad``).
+    FFT runs across the virtual antenna axis of the range-Doppler map, which
+    should be the one detection ran on. A RadarCube is first transformed with
+    ``range_doppler_map(cube, pad=rd_pad)``; ``rd_pad`` is unused for a map.
     """
-    expected = AZIMUTH if cube.radar_id == HORIZONTAL else ELEVATION
+    expected = AZIMUTH if rd.radar_id == HORIZONTAL else ELEVATION
     if axis != expected:
         raise ProbMapError(
-            f"{cube.radar_id} radar provides {expected}, not {axis}"
+            f"{rd.radar_id} radar provides {expected}, not {axis}"
         )
-    rd = range_doppler_map(cube, pad=rd_pad)
+    if isinstance(rd, RadarCube):
+        rd = range_doppler_map(rd, pad=rd_pad)
     n_range = rd.data.shape[0]
     bad = [b for b in bins if not 0 <= b < n_range]
     if bad:

@@ -69,6 +69,7 @@ class RangeDopplerMap:
 
     data: np.ndarray
     fft_lengths: tuple[int, int]
+    radar_id: str = HORIZONTAL
 
 
 def fft4d(cube: RadarCube, config: RadarConfig, pad=None) -> Spectrum4D:
@@ -148,7 +149,7 @@ def range_doppler_map(cube: RadarCube, pad=None) -> RangeDopplerMap:
     out = np.fft.fft(cube.data, n=lengths[0], axis=0)
     out = np.fft.fft(out, n=lengths[1], axis=1)
     out = np.fft.fftshift(out, axes=1)
-    return RangeDopplerMap(data=out, fft_lengths=lengths)
+    return RangeDopplerMap(data=out, fft_lengths=lengths, radar_id=cube.radar_id)
 
 
 def magnitude_map(rd: RangeDopplerMap) -> np.ndarray:

@@ -35,7 +35,7 @@ def write_tensor(path: str | Path, data: np.ndarray) -> None:
         fh.write(bytes([VERSION, data.ndim]))
         fh.write(struct.pack(f"<{data.ndim}Q", *data.shape))
         fh.write(bytes([tag]))
-        fh.write(payload.tobytes())
+        fh.write(memoryview(payload))
 
 
 def read_tensor(path: str | Path) -> np.ndarray:
@@ -67,4 +67,7 @@ def read_tensor(path: str | Path) -> np.ndarray:
         raise TensorFormatError(
             f"{path}: payload size mismatch, expected {expected} bytes, got {len(raw)}"
         )
-    return np.frombuffer(raw, dtype=dtype, count=count, offset=off).reshape(shape).copy()
+    try:
+        return np.frombuffer(raw, dtype=dtype, count=count, offset=off).reshape(shape).copy()
+    except ValueError as exc:  # more axes, or longer ones, than numpy can hold
+        raise TensorFormatError(f"{path}: unsupported axis table {shape}: {exc}") from exc

@@ -166,6 +166,29 @@ def test_parse_matches_loop_oracles_for_any_geometry(capture):
     assert serialize_cubes(cubes, AdcLayout(), cfg) == raw
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    samples=st.integers(1, 6), chirps=st.integers(1, 3), tx=st.integers(1, 3),
+    raw=st.binary(max_size=400), start=st.integers(0, 5), stop=st.integers(0, 5),
+)
+def test_parse_any_buffer_or_slice_raises_only_adc_errors(samples, chirps, tx, raw, start, stop):
+    cfg = RadarConfig(
+        num_adc_samples=samples, num_chirps=chirps, num_tx=tx, num_rx=2,
+        sample_rate=1e7, chirp_slope=3e13, carrier_freq=7.7e10,
+    )
+    view = memoryview(raw)[start:len(raw) - stop]
+    size = frame_byte_size(AdcLayout(), cfg)
+    try:
+        cubes = parse_cubes(view, AdcLayout(), cfg)
+    except TruncatedCaptureError:
+        assert len(view) == 0 or len(view) % size
+    except AdcError:
+        assert samples % 2
+    else:
+        assert len(cubes) * size == len(view)
+        assert serialize_cubes(cubes, AdcLayout(), cfg) == bytes(view)
+
+
 def test_layout_validation():
     with pytest.raises(AdcError):
         AdcLayout(bytes_per_sample=4)

@@ -1,12 +1,16 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
+from radarpose import probmap, spectral
 from radarpose.cli import EXIT_CONTRACT, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from radarpose.manifest import sha256_file
 from radarpose.pose import DEFAULT_SIGMAS, JOINT_NAMES
-from radarpose.tensorio import read_tensor, write_tensor
+from radarpose.tensorio import MAGIC, read_tensor, write_tensor
 
 CONFIG = """
 num_adc_samples = 32
@@ -33,6 +37,10 @@ def write_scene(tmp_path, targets=(), snr_db=None, seed=0, name="scene.json"):
         "targets": list(targets), "snr_db": snr_db, "noise_seed": seed,
     }))
     return str(path)
+
+
+def outputs_written(tmp_path, prefix="o"):
+    return [p.name for p in tmp_path.iterdir() if p.name.startswith(prefix)]
 
 
 def keypoint_doc(offsets=None):
@@ -167,14 +175,65 @@ def test_probmap_zero_input_empty_bins(tmp_path, cfg_file):
 
 def test_probmap_frame_count_mismatch_exits_3(tmp_path, cfg_file):
     scene = write_scene(tmp_path, targets=[{"range": 5.0}])
-    main(["simulate", scene, "--config", cfg_file, "--output", str(tmp_path / "one.bin"),
-          "--radar", "horizontal", "--frames", "1"])
-    main(["simulate", scene, "--config", cfg_file, "--output", str(tmp_path / "two.bin"),
-          "--radar", "vertical", "--frames", "2"])
-    assert main([
-        "probmap", str(tmp_path / "one.bin"), str(tmp_path / "two.bin"),
-        "--config", cfg_file, "--output", str(tmp_path / "o"),
-    ]) == EXIT_DATA
+    main(["simulate", scene, "--config", cfg_file, "--output", str(tmp_path / "cap.bin"),
+          "--radar", "both", "--frames", "2"])
+    h, v = tmp_path / "cap.h.bin", tmp_path / "cap.v.bin"
+    whole = v.read_bytes()
+    # a vertical capture truncated by 2 bytes, then one with a frame fewer
+    for broken in (whole[:-2], whole[:len(whole) // 2]):
+        v.write_bytes(broken)
+        assert main([
+            "probmap", str(h), str(v), "--config", cfg_file, "--output", str(tmp_path / "o"),
+        ]) == EXIT_DATA
+        assert outputs_written(tmp_path) == []
+
+
+def test_probmap_computes_one_rd_map_per_cube(tmp_path, cfg_file, monkeypatch):
+    calls = []
+    original = spectral.range_doppler_map
+
+    def counting(cube, *args, **kwargs):
+        calls.append((cube.radar_id, cube.frame_index))
+        return original(cube, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "range_doppler_map", counting)
+    monkeypatch.setattr(probmap, "range_doppler_map", counting)
+    code, prefix = run_probmap(tmp_path, cfg_file, [{"range": 6.0, "azimuth": 0.3}], frames=3)
+    assert code == EXIT_OK
+    assert sorted(calls) == [(r, i) for r in ("horizontal", "vertical") for i in range(3)]
+    tags = sorted(p.name.split(".")[-2] for p in tmp_path.glob("out.prob.*.tensor"))
+    assert tags == ["f0000", "f0001", "f0002"]
+    for i, tag in enumerate(tags):
+        assert json.loads(open(f"{prefix}.bins.{tag}.json").read())["frame"] == i
+
+
+def test_probmap_memory_is_bounded_by_capture_plus_a_few_frames(tmp_path):
+    # 64x16x8 cubes: one frame is 32 KiB of int16 and 128 KiB of complex128
+    cfg = tmp_path / "radar.cfg"
+    cfg.write_text(
+        CONFIG.replace("num_adc_samples = 32", "num_adc_samples = 64")
+        .replace("num_chirps = 8", "num_chirps = 16")
+        .replace("num_rx = 2", "num_rx = 4")
+    )
+    scene = write_scene(tmp_path, targets=[{"range": 6.0}], snr_db=20)
+    assert main(["simulate", scene, "--config", str(cfg), "--output", str(tmp_path / "cap.bin"),
+                 "--radar", "both", "--frames", "64"]) == EXIT_OK
+    capture_bytes = sum((tmp_path / f"cap.{r}.bin").stat().st_size for r in "hv")
+    cube_bytes = 64 * 16 * 8 * 16
+    assert capture_bytes == 2 * 64 * cube_bytes // 4
+    tracemalloc.start()
+    try:
+        code = main([
+            "probmap", str(tmp_path / "cap.h.bin"), str(tmp_path / "cap.v.bin"),
+            "--config", str(cfg), "--output", str(tmp_path / "out"), "--pe-depth", "8",
+        ])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    # one frame pair, its RD maps, FFT temporaries and the previous pair come
+    # to about 9 cubes; parsing whole captures would add 2 x 64 cubes
+    assert peak < capture_bytes + 16 * cube_bytes
 
 
 def test_fuse_zero_identity_and_commutation(tmp_path, rng):
@@ -282,3 +341,52 @@ def test_simulate_zero_frames_exits_4(tmp_path, cfg_file):
         "simulate", scene, "--config", cfg_file, "--output", str(tmp_path / "cap.bin"),
         "--frames", "0",
     ]) == EXIT_CONTRACT
+
+
+FRAME_BYTES = 32 * 8 * 4 * 4  # CONFIG: samples x chirps x virtual antennas x int16 re|im
+FUZZ = settings(max_examples=40, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@FUZZ
+@given(frames=st.integers(0, 2), extra=st.integers(-FRAME_BYTES + 1, FRAME_BYTES - 1),
+       command=st.sampled_from(["heatmap", "probmap"]))
+def test_misaligned_capture_exits_3(tmp_path, cfg_file, frames, extra, command):
+    size = frames * FRAME_BYTES + extra
+    assume(size == 0 or size > 0 and size % FRAME_BYTES)
+    cap = tmp_path / "cap.bin"
+    cap.write_bytes(np.random.default_rng(size).bytes(size))
+    good = tmp_path / "good.bin"
+    good.write_bytes(bytes(FRAME_BYTES))
+    inputs = [str(cap)] if command == "heatmap" else [str(good), str(cap)]
+    out = tmp_path / "o"
+    assert main([command, *inputs, "--config", cfg_file, "--output", str(out)]) == EXIT_DATA
+    assert outputs_written(tmp_path) == []
+
+
+@FUZZ
+@given(text=st.binary(max_size=200))
+def test_malformed_config_exits_2_or_3(tmp_path, text):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(text)
+    cap = tmp_path / "cap.bin"
+    cap.write_bytes(bytes(FRAME_BYTES))
+    code = main(["heatmap", str(cap), "--config", str(cfg), "--output", str(tmp_path / "o")])
+    assert code in (EXIT_USAGE, EXIT_DATA)
+    assert outputs_written(tmp_path) == []
+
+
+@FUZZ
+@given(shape=st.lists(st.one_of(st.integers(0, 3), st.integers(0, 2**64 - 1)), max_size=70),
+       tag=st.integers(0, 2), payload=st.binary(max_size=40))
+def test_malformed_tensor_exits_3(tmp_path, shape, tag, payload):
+    count = int(np.prod(shape, dtype=object)) if shape else 1
+    assume(tag == 2 or len(payload) != count * 8 * (1 + tag))
+    bad = tmp_path / "bad.tensor"
+    bad.write_bytes(MAGIC + bytes([1, len(shape)]) + b"".join(
+        n.to_bytes(8, "little") for n in shape) + bytes([tag]) + payload)
+    good = tmp_path / "good.tensor"
+    write_tensor(good, np.zeros(3))
+    code = main(["fuse", str(good), str(bad), "--output", str(tmp_path / "o.tensor")])
+    assert code == EXIT_DATA
+    assert outputs_written(tmp_path) == []

@@ -1,4 +1,8 @@
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radarpose.config import ConfigError, RadarConfig, config_text, load_config, parse_config_text
 
@@ -36,10 +40,21 @@ def test_round_trip(tmp_path):
     "sample_rate = -1",
     "num_chirps = oops",
     "no equals sign here",
+    "antenna_spacing = nan",
+    "antenna_spacing = inf",
+    "chirp_period = nan",
+    "chirp_period = -1e-4",
+    "azimuth_antennas = -8\nelevation_antennas = -1",
 ])
 def test_bad_lines(line):
     with pytest.raises(ConfigError):
         parse_config_text(GOOD + line + "\n")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_rates_must_be_finite(value):
+    with pytest.raises(ConfigError, match="finite"):
+        parse_config_text(GOOD.replace("sample_rate = 1e7", f"sample_rate = {value}"))
 
 
 def test_missing_required():
@@ -58,3 +73,21 @@ def test_chirp_interval_default():
     assert cfg.chirp_interval == pytest.approx(1.0 / 320.0)
     explicit = parse_config_text(GOOD + "chirp_period = 1e-4\n")
     assert explicit.chirp_interval == 1e-4
+
+
+KEYS = sorted(f.name for f in dataclasses.fields(RadarConfig))
+VALUES = st.one_of(
+    st.text(max_size=12), st.integers(-10, 10**6).map(str), st.floats().map(repr)
+)
+LINES = st.one_of(st.text(max_size=40), st.builds("{} = {}".format, st.sampled_from(KEYS), VALUES))
+
+
+@settings(max_examples=150, deadline=None)
+@given(prefix=st.sampled_from(["", GOOD]), lines=st.lists(LINES, max_size=8))
+def test_parse_config_text_raises_only_config_error(prefix, lines):
+    try:
+        cfg = parse_config_text(prefix + "\n".join(lines))
+    except ConfigError:
+        return
+    assert cfg.num_virtual >= 1 and min(cfg.array_shape) >= 1
+    assert 0 < cfg.chirp_interval < float("inf")

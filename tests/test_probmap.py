@@ -269,6 +269,27 @@ def test_axis_must_match_radar(sim_config):
         angle_spectrum(cube, sim_config, RangeBinSet(bins=()), "elevation")
 
 
+def test_rd_map_input_matches_cube_input(sim_config):
+    scene = SceneSpec(targets=(Target(range_m=6.0, azimuth=0.3, elevation=-0.2),), snr_db=20)
+    bins = RangeBinSet(bins=(3, 7, 12))
+    for radar_id, axis in (("horizontal", "azimuth"), ("vertical", "elevation")):
+        cube = synth_frame(scene, sim_config, radar_id=radar_id)
+        rd = range_doppler_map(cube)
+        assert rd.radar_id == radar_id
+        from_map = angle_spectrum(rd, sim_config, bins, axis, angle_fft=16)
+        from_cube = angle_spectrum(cube, sim_config, bins, axis, angle_fft=16)
+        assert from_map.values.tobytes() == from_cube.values.tobytes()
+        assert from_map.empty_rows == from_cube.empty_rows
+
+
+def test_rd_map_axis_must_match_radar(sim_config):
+    cube = RadarCube(
+        data=np.zeros((64, 16, 8), dtype=complex), frame_index=0, radar_id="vertical"
+    )
+    with pytest.raises(ProbMapError, match="elevation"):
+        angle_spectrum(range_doppler_map(cube), sim_config, RangeBinSet(bins=()), "azimuth")
+
+
 def test_simulator_target_azimuth_argmax(sim_config):
     tgt = Target(range_m=6.0, azimuth=0.4)
     cube = synth_frame(SceneSpec(targets=(tgt,), snr_db=40), sim_config)

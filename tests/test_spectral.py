@@ -159,6 +159,21 @@ def test_average_elevation_matches_loop(rng):
     assert out.angle_kind == "elevation"
 
 
+@pytest.mark.parametrize("az,el", [(4, 3), (2, 4)])
+def test_average_elevation_keeps_only_elevation_row_zero(rng, az, el):
+    # the complex mean over the elevation FFT axis is the 3-D FFT of
+    # elevation row q = 0: the other Q - 1 rows cancel out
+    cfg = RadarConfig(
+        num_adc_samples=8, num_chirps=4, num_tx=az, num_rx=el,
+        sample_rate=1e7, chirp_slope=3e13, carrier_freq=7.7e10,
+        azimuth_antennas=az, elevation_antennas=el,
+    )
+    grid = rng.standard_normal((8, 4, az, el)) + 1j * rng.standard_normal((8, 4, az, el))
+    spec = fft4d(make_cube(grid), cfg)
+    row0 = np.fft.fftn(grid[..., 0], s=spec.fft_lengths[:3], axes=(0, 1, 2))
+    np.testing.assert_allclose(average_elevation(spec).data, row0, rtol=1e-12)
+
+
 def test_sample_doppler_identity(rng):
     data = rng.standard_normal((4, 16, 2)) + 0j
     rdam = RangeDopplerAngleMap(

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from radarpose.tensorio import MAGIC, TensorFormatError, read_tensor, write_tensor
 
@@ -72,4 +74,49 @@ def test_axis_product_overflowing_int64_is_a_size_mismatch(tmp_path):
     path = tmp_path / "t.tensor"
     path.write_bytes(MAGIC + bytes([1, 2]) + struct.pack("<QQ", 2**33, 2**31) + bytes([0]))
     with pytest.raises(TensorFormatError, match="mismatch"):
+        read_tensor(path)
+
+
+def test_empty_tensor_with_axes_numpy_cannot_hold(tmp_path):
+    path = tmp_path / "t.tensor"
+    for shape in [(0, 2**64 - 1), (0, 2**62, 2**62), (1,) * 70]:
+        payload = bytes(8) if 0 not in shape else b""
+        path.write_bytes(
+            MAGIC + bytes([1, len(shape)]) + struct.pack(f"<{len(shape)}Q", *shape)
+            + bytes([0]) + payload
+        )
+        with pytest.raises(TensorFormatError, match="axis table"):
+            read_tensor(path)
+
+
+axis_lengths = st.one_of(st.integers(0, 3), st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    shape=st.lists(axis_lengths, max_size=70),
+    tag=st.integers(0, 255),
+    payload=st.binary(max_size=64),
+    cut=st.integers(0, 4),
+)
+def test_read_tensor_raises_only_tensor_format_error(tmp_path, shape, tag, payload, cut):
+    raw = (MAGIC + bytes([1, len(shape)]) + struct.pack(f"<{len(shape)}Q", *shape)
+           + bytes([tag]) + payload)
+    path = tmp_path / "t.tensor"
+    path.write_bytes(raw[:len(raw) - cut])
+    try:
+        out = read_tensor(path)
+    except TensorFormatError:
+        return
+    assert out.shape == tuple(shape)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(raw=st.binary(max_size=64))
+def test_read_tensor_on_random_bytes(tmp_path, raw):
+    path = tmp_path / "t.tensor"
+    path.write_bytes(raw)
+    with pytest.raises(TensorFormatError):
         read_tensor(path)
