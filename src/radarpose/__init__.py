@@ -26,7 +26,6 @@ from .probmap import (  # noqa: F401
 )
 from .sim import SceneSpec, Target, expected_bins, synth_frame  # noqa: F401
 from .spectral import (  # noqa: F401
-    RangeDopplerAngleMap,
     RangeDopplerMap,
     Spectrum4D,
     average_elevation,

@@ -24,7 +24,6 @@ class CfarParams:
     guard: int = 5
     reference: int = 16
     pfa: float = 1e-3
-    alpha_override: float | None = None
 
     def __post_init__(self):
         if self.guard < 0:
@@ -68,10 +67,7 @@ def cfar_alpha(params: CfarParams, n_ref) -> np.ndarray | float:
     n_ref = np.asarray(n_ref, dtype=np.float64)
     if np.any(n_ref < 1):
         raise CfarError("n_ref must be >= 1")
-    if params.alpha_override is not None:
-        alpha = np.full_like(n_ref, params.alpha_override)
-    else:
-        alpha = n_ref * (params.pfa ** (-1.0 / n_ref) - 1.0)
+    alpha = n_ref * (params.pfa ** (-1.0 / n_ref) - 1.0)
     return float(alpha) if alpha.ndim == 0 else alpha
 
 

@@ -107,17 +107,17 @@ def _load_cubes(path: str, config, radar_id: str) -> tuple[int, Iterator[adc.Rad
 def cmd_heatmap(args) -> int:
     config = load_config(args.config)
     _, cubes = _load_cubes(args.adc, config, args.radar)
+    fft_branch = args.branch == "fft"
+    angle_fft = spectral.next_pow2(config.array_shape[0])
     frames = []
     for cube in cubes:
-        if args.branch == "fft":
-            spec = spectral.fft4d(cube, config)
-            out = spectral.average_elevation(spec)
-            if args.doppler_keep:
-                out, _ = spectral.sample_doppler(out, args.doppler_keep, args.doppler_window)
-            frames.append(out.data)
-        else:
-            rd = spectral.range_doppler_map(cube)
-            frames.append(rd.data)
+        # the fft branch averages elevation first, so the RD FFT runs on 1/Q of the cube
+        rd = spectral.range_doppler_map(
+            spectral.average_elevation(cube, config) if fft_branch else cube
+        )
+        if args.doppler_keep:
+            rd = spectral.sample_doppler(rd, args.doppler_keep, args.doppler_window)
+        frames.append(np.fft.fft(rd.data, n=angle_fft, axis=2) if fft_branch else rd.data)
     tensorio.write_tensor(args.output, np.stack(frames))
     write_manifest(
         _manifest_path(args.output),
@@ -139,7 +139,7 @@ def cmd_probmap(args) -> int:
             f"frame count mismatch: horizontal has {count_h}, vertical has {count_v}"
         )
     params = cfar.CfarParams(guard=args.cfar_guard, reference=args.cfar_ref, pfa=args.pfa)
-    angle_fft = args.angle_fft or spectral.next_pow2(config.num_virtual)
+    angle_fft = args.angle_fft or spectral.next_pow2(config.array_shape[0])
     pe = probmap.positional_encoding(angle_fft, angle_fft, args.pe_depth)
     outputs = []
     for ch, cv in zip(cubes_h, cubes_v):
@@ -264,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cfar-ref", type=int, default=16)
     p.add_argument("--pfa", type=float, default=1e-3)
     p.add_argument("--pe-depth", type=int, default=32)
-    p.add_argument("--angle-fft", type=int, default=0, help="0 uses next pow2 of antennas")
+    p.add_argument("--angle-fft", type=int, default=0, help="0 uses next pow2 of azimuth antennas")
     p.set_defaults(func=cmd_probmap)
 
     p = sub.add_parser("fuse", help="element-wise sum of two tensor files")

@@ -12,7 +12,9 @@ import numpy as np
 from .adc import HORIZONTAL, RadarCube
 from .cfar import RangeBinSet
 from .config import RadarConfig
-from .spectral import AZIMUTH, ELEVATION, RangeDopplerMap, next_pow2, range_doppler_map
+from .spectral import (
+    AZIMUTH, ELEVATION, RangeDopplerMap, average_elevation, next_pow2, range_doppler_map,
+)
 
 
 class ProbMapError(ValueError):
@@ -84,14 +86,14 @@ def angle_spectrum(
     bins: RangeBinSet,
     axis: str,
     angle_fft: int | None = None,
-    rd_pad=None,
 ) -> RangeAngleVector:
     """Doppler-averaged angle magnitude spectra for the selected range bins.
 
-    The horizontal radar provides azimuth, the vertical radar elevation; the
-    FFT runs across the virtual antenna axis of the range-Doppler map, which
-    should be the one detection ran on. A RadarCube is first transformed with
-    ``range_doppler_map(cube, pad=rd_pad)``; ``rd_pad`` is unused for a map.
+    The horizontal radar provides azimuth, the vertical radar elevation;
+    both lie along the P axis of the config's (P, Q) array. The FFT
+    (``next_pow2(P)`` bins by default) runs across the elevation-averaged
+    antennas of the range-Doppler map, which should be the one detection
+    ran on. A RadarCube is first transformed with ``range_doppler_map``.
     """
     expected = AZIMUTH if rd.radar_id == HORIZONTAL else ELEVATION
     if axis != expected:
@@ -99,15 +101,15 @@ def angle_spectrum(
             f"{rd.radar_id} radar provides {expected}, not {axis}"
         )
     if isinstance(rd, RadarCube):
-        rd = range_doppler_map(rd, pad=rd_pad)
+        rd = range_doppler_map(rd)
     n_range = rd.data.shape[0]
     bad = [b for b in bins if not 0 <= b < n_range]
     if bad:
         raise ProbMapError(f"range bins {bad} outside [0, {n_range})")
-    angle_len = angle_fft or next_pow2(rd.data.shape[2])
-    if angle_len < rd.data.shape[2]:
-        raise ProbMapError(f"angle FFT length {angle_len} < {rd.data.shape[2]} antennas")
-    sub = rd.data[list(bins)]  # (R_sel, Doppler, antenna)
+    sub = average_elevation(rd, config).data[list(bins)]  # (R_sel, Doppler, P)
+    angle_len = angle_fft or next_pow2(sub.shape[2])
+    if angle_len < sub.shape[2]:
+        raise ProbMapError(f"angle FFT length {angle_len} < {sub.shape[2]} antennas")
     spectra = np.abs(np.fft.fft(sub, n=angle_len, axis=2))
     values = average_doppler(spectra)
     empty = tuple(bool(r) for r in ~values.any(axis=1))

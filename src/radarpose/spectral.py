@@ -1,16 +1,15 @@
-"""Frequency-domain transforms: 4-D FFT, elevation averaging, Doppler
-chirp sampling, and the range-Doppler FFT.
+"""Frequency-domain transforms: the range-Doppler FFT, elevation averaging,
+Doppler chirp sampling, and the reference 4-D FFT.
 
 Conventions fixed project-wide: unnormalized forward transforms (no 1/N
 scaling), FFT lengths default to the next power of two >= the data length
-(zero padded, recorded on the output), and Doppler centering places zero
-velocity at bin M // 2 via a half-length rotation.
+(zero padded, recorded on the output), and the Doppler axis of a
+range-Doppler map is centered (zero velocity at bin M // 2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-
 import numpy as np
 
 from .adc import HORIZONTAL, RadarCube
@@ -46,18 +45,6 @@ class Spectrum4D:
 
     data: np.ndarray
     fft_lengths: tuple[int, int, int, int]
-    doppler_centered: bool = False
-    radar_id: str = HORIZONTAL
-
-
-@dataclass(frozen=True)
-class RangeDopplerAngleMap:
-    """Elevation-averaged spectrum indexed (range, Doppler, angle)."""
-
-    data: np.ndarray
-    fft_lengths: tuple[int, int, int]
-    angle_kind: str
-    doppler_centered: bool = False
 
 
 @dataclass(frozen=True)
@@ -73,7 +60,7 @@ class RangeDopplerMap:
 
 
 def fft4d(cube: RadarCube, config: RadarConfig, pad=None) -> Spectrum4D:
-    """Four-axis forward DFT of a radar cube.
+    """Four-axis forward DFT of a radar cube, the reference transform.
 
     The virtual antenna axis is reshaped to the (P, Q) array geometry
     declared in the config before transforming.
@@ -84,28 +71,26 @@ def fft4d(cube: RadarCube, config: RadarConfig, pad=None) -> Spectrum4D:
         raise SpectralError(f"cube has {v} antennas, geometry needs {p_count * q_count}")
     grid = cube.data.reshape(n, m, p_count, q_count)
     lengths = _resolve_pad(pad, grid.shape)
-    out = np.fft.fftn(grid, s=lengths, axes=(0, 1, 2, 3))
-    return Spectrum4D(data=out, fft_lengths=lengths, radar_id=cube.radar_id)
+    return Spectrum4D(data=np.fft.fftn(grid, s=lengths, axes=(0, 1, 2, 3)), fft_lengths=lengths)
 
 
-def center_doppler(spec):
-    """Rotate the Doppler axis so zero velocity sits at the center bin."""
-    if spec.doppler_centered:
-        return spec
-    return replace(spec, data=np.fft.fftshift(spec.data, axes=1), doppler_centered=True)
+def average_elevation(
+    x: RadarCube | RangeDopplerMap, config: RadarConfig
+) -> RadarCube | RangeDopplerMap:
+    """Complex elevation averaging: keep the P antennas of elevation row q = 0.
 
-
-def average_elevation(spec: Spectrum4D) -> RangeDopplerAngleMap:
-    """Complex mean over the elevation axis (the last angular axis)."""
-    if spec.data.ndim != 4:
-        raise SpectralError(f"expected a 4-D spectrum, got shape {spec.data.shape}")
-    angle_kind = AZIMUTH if spec.radar_id == HORIZONTAL else ELEVATION
-    return RangeDopplerAngleMap(
-        data=spec.data.mean(axis=3),
-        fft_lengths=spec.fft_lengths[:3],
-        angle_kind=angle_kind,
-        doppler_centered=spec.doppler_centered,
-    )
+    Virtual antenna v sits at (p, q) = (v // Q, v % Q) of the config's
+    (P, Q) array, so row 0 is ``data[..., ::Q]``; the result is a view of
+    the same type. The complex mean over the zero-padded elevation-FFT axis
+    of the 4-D FFT is the inverse DFT at q = 0, so it equals the P-axis FFT
+    of elevation row 0 alone; transforming that row is 1/Q of the work.
+    """
+    p_count, q_count = config.array_shape
+    if x.data.shape[2] != p_count * q_count:
+        raise SpectralError(
+            f"{x.data.shape[2]} antennas do not match the {p_count}x{q_count} array"
+        )
+    return replace(x, data=x.data[..., ::q_count])
 
 
 def doppler_sample_indices(m: int, keep: int, velocity_window: float) -> np.ndarray:
@@ -127,16 +112,16 @@ def doppler_sample_indices(m: int, keep: int, velocity_window: float) -> np.ndar
     return start + step * np.arange(keep)
 
 
-def sample_doppler(spec, keep: int, velocity_window: float = 0.5):
-    """Uniformly sample Doppler bins around zero velocity.
+def sample_doppler(
+    rd: RangeDopplerMap, keep: int, velocity_window: float = 0.5
+) -> RangeDopplerMap:
+    """Keep ``doppler_sample_indices`` bins of a map's Doppler axis.
 
-    Accepts a Spectrum4D or RangeDopplerAngleMap; returns the reduced object
-    (Doppler-centered) plus the selected bin indices in the centered
-    convention. Values are selected, never synthesized.
+    Values are selected, never synthesized; ``fft_lengths`` still records
+    the Doppler FFT length.
     """
-    spec = center_doppler(spec)
-    idx = doppler_sample_indices(spec.data.shape[1], keep, velocity_window)
-    return replace(spec, data=spec.data[:, idx]), idx
+    idx = doppler_sample_indices(rd.data.shape[1], keep, velocity_window)
+    return replace(rd, data=rd.data[:, idx])
 
 
 def range_doppler_map(cube: RadarCube, pad=None) -> RangeDopplerMap:

@@ -22,10 +22,6 @@ def test_alpha_vanishes_as_pfa_approaches_one():
     assert cfar_alpha(CfarParams(pfa=1 - 1e-12), 16) == pytest.approx(0.0, abs=1e-9)
 
 
-def test_alpha_override_wins():
-    assert cfar_alpha(CfarParams(pfa=0.5, alpha_override=2.5), 100) == 2.5
-
-
 def test_alpha_vectorized():
     alphas = cfar_alpha(CfarParams(pfa=0.25), np.array([1.0, 2.0]))
     np.testing.assert_allclose(alphas, [3.0, 2 * (0.25 ** -0.5 - 1)])
@@ -43,20 +39,25 @@ def test_param_validation():
 
 
 def test_constant_map_no_detections():
-    params = CfarParams(guard=1, reference=2, alpha_override=3.0, pfa=0.5)
+    params = CfarParams(guard=1, reference=2, pfa=1e-3)
     det = detect_2d(np.ones((32, 32)), params)
     assert not det.mask.any()
+    oracle_mask, oracle_thr = cfar_loops(np.ones((32, 32)), guard=1, reference=2, pfa=1e-3)
+    np.testing.assert_array_equal(det.mask, oracle_mask)
+    np.testing.assert_allclose(det.thresholds, oracle_thr)
 
 
 def test_single_spike_detected_and_neighbors_suppressed():
-    params = CfarParams(guard=1, reference=2, alpha_override=3.0, pfa=0.5)
+    params = CfarParams(guard=1, reference=2, pfa=1e-3)
     mag = np.ones((21, 21))
     mag[10, 10] = 1000.0
     det = detect_2d(mag, params)
-    # ring mean at the spike is 1.0, so T = 3 < 1000
+    # ring mean at the spike is 1.0 over 40 cells, so T = alpha(40) ~ 7.5 < 1000;
+    # a neighbour with the spike in its ring gets T ~ 7.5 * 26 > 1
+    assert det.thresholds[10, 10] == pytest.approx(cfar_alpha(params, 40))
     assert det.mask[10, 10]
     assert det.mask.sum() == 1
-    oracle_mask, oracle_thr = cfar_loops(mag, guard=1, reference=2, pfa=0.5, alpha_override=3.0)
+    oracle_mask, oracle_thr = cfar_loops(mag, guard=1, reference=2, pfa=1e-3)
     np.testing.assert_array_equal(det.mask, oracle_mask)
     np.testing.assert_allclose(det.thresholds, oracle_thr)
 

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from radarpose import probmap, spectral
+from radarpose import adc, probmap, spectral
 from radarpose.cli import EXIT_CONTRACT, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from radarpose.config import load_config
 from radarpose.manifest import sha256_file
 from radarpose.pose import DEFAULT_SIGMAS, JOINT_NAMES
 from radarpose.tensorio import MAGIC, read_tensor, write_tensor
@@ -109,6 +110,54 @@ def test_heatmap_zero_input_zero_tensor(tmp_path, cfg_file):
     out = tmp_path / "maps.tensor"
     main(["heatmap", str(cap), "--config", cfg_file, "--output", str(out)])
     assert not read_tensor(out).any()
+
+
+PLANAR_CONFIG = """
+num_adc_samples = 16
+num_chirps = 16
+num_tx = 4
+num_rx = 3
+sample_rate = 1e7
+chirp_slope = 3e13
+carrier_freq = 7.7e10
+frame_rate = 10
+azimuth_antennas = 4
+elevation_antennas = 3
+"""
+
+
+def planar_heatmap(tmp_path, *flags):
+    """2-frame 4x3 capture, its parsed cubes, and the heatmap tensor for flags."""
+    cfg = tmp_path / "planar.cfg"
+    cfg.write_text(PLANAR_CONFIG)
+    scene = write_scene(tmp_path, targets=[{"range": 3.0, "azimuth": 0.3}], snr_db=10)
+    cap = tmp_path / "cap.bin"
+    assert main(["simulate", scene, "--config", str(cfg), "--output", str(cap),
+                 "--frames", "2"]) == EXIT_OK
+    out = tmp_path / "maps.tensor"
+    assert main(["heatmap", str(cap), "--config", str(cfg), "--output", str(out),
+                 *flags]) == EXIT_OK
+    config = load_config(str(cfg))
+    cubes = adc.parse_cubes(cap.read_bytes(), adc.AdcLayout(), config)
+    return config, cubes, read_tensor(out)
+
+
+def test_heatmap_fft_branch_is_elevation_averaged_4d_fft(tmp_path):
+    config, cubes, maps = planar_heatmap(tmp_path, "--branch", "fft", "--doppler-keep", "4")
+    idx = spectral.doppler_sample_indices(16, 4, 0.5)
+    assert maps.shape == (2, 16, 4, 4)
+    for cube, got in zip(cubes, maps):
+        spec = spectral.fft4d(cube, config)
+        want = np.fft.fftshift(spec.data.mean(axis=3), axes=1)[:, idx]
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def test_heatmap_rd_branch_samples_doppler(tmp_path):
+    _, cubes, maps = planar_heatmap(tmp_path, "--branch", "rd", "--doppler-keep", "4")
+    idx = spectral.doppler_sample_indices(16, 4, 0.5)
+    want = np.stack([spectral.range_doppler_map(c).data[:, idx] for c in cubes])
+    assert maps.shape == (2, 16, 4, 12)
+    np.testing.assert_array_equal(maps, want)
 
 
 def test_truncated_capture_exits_3(tmp_path, cfg_file):

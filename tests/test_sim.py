@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from radarpose.cfar import RangeBinSet
 from radarpose.config import RadarConfig
 from radarpose.probmap import angle_spectrum
 from radarpose.sim import SPEED_OF_LIGHT, SceneSpec, SimError, Target, expected_bins, synth_frame
@@ -104,6 +105,41 @@ def test_round_trip_all_four_bins(sim_config):
         )
         got[kind] = int(v.values[0].argmax())
         assert min(abs(got[kind] - angle_bin), angle_fft - abs(got[kind] - angle_bin)) <= 1
+
+
+@pytest.mark.parametrize("az,el", [(4, 2), (2, 4)])
+def test_planar_round_trip_angle_bins(az, el):
+    # acceptance test 2 on non-ULA arrays: azimuth (horizontal radar) and
+    # elevation (vertical radar) both lie along the P axis of the P x Q grid
+    cfg = RadarConfig(
+        num_adc_samples=64, num_chirps=16, num_tx=2, num_rx=4,
+        sample_rate=1e7, chirp_slope=3e13, carrier_freq=7.7e10,
+        azimuth_antennas=az, elevation_antennas=el,
+    )
+    angle_fft = 8
+    rng = np.random.default_rng(2024)
+    misses = 0
+    for _ in range(40):
+        tgt = Target(
+            range_m=range_for_bin(cfg, rng.uniform(3.0, 27.0), 64),
+            radial_velocity=velocity_for_bin(cfg, rng.uniform(-6.0, 6.0), 16),
+            azimuth=rng.uniform(-0.55, 0.55),
+            elevation=rng.uniform(-0.55, 0.55),
+        )
+        scene = SceneSpec(targets=(tgt,), snr_db=30.0, noise_seed=int(rng.integers(1 << 31)))
+        _, _, az_bin, el_bin = expected_bins(tgt, cfg, (64, 16, angle_fft, angle_fft))
+        for radar_id, kind, want in (
+            ("horizontal", "azimuth", az_bin), ("vertical", "elevation", el_bin)
+        ):
+            rd = range_doppler_map(synth_frame(scene, cfg, radar_id=radar_id))
+            mag = magnitude_map(rd)
+            r = int(np.unravel_index(mag.argmax(), mag.shape)[0])
+            v = angle_spectrum(rd, cfg, RangeBinSet(bins=(r,)), kind, angle_fft=angle_fft)
+            got = int(v.values[0].argmax())
+            if min(abs(got - want), angle_fft - abs(got - want)) > 1:
+                misses += 1
+                break
+    assert misses <= 1
 
 
 def test_aliasing_flagged(sim_config):

@@ -5,11 +5,9 @@ from oracles import dft2_loops, dft4_loops, doppler_sample_enumerate
 from radarpose.adc import RadarCube
 from radarpose.config import RadarConfig
 from radarpose.spectral import (
-    RangeDopplerAngleMap,
+    RangeDopplerMap,
     SpectralError,
-    Spectrum4D,
     average_elevation,
-    center_doppler,
     doppler_sample_indices,
     fft4d,
     magnitude_map,
@@ -19,12 +17,12 @@ from radarpose.spectral import (
 )
 
 
-def quad_config():
-    """8 samples, 4 chirps, 2x2 virtual array."""
+def grid_config(az, el):
+    """8 samples, 4 chirps, az x el virtual array."""
     return RadarConfig(
-        num_adc_samples=8, num_chirps=4, num_tx=2, num_rx=2,
+        num_adc_samples=8, num_chirps=4, num_tx=az, num_rx=el,
         sample_rate=1e7, chirp_slope=3e13, carrier_freq=7.7e10,
-        azimuth_antennas=2, elevation_antennas=2,
+        azimuth_antennas=az, elevation_antennas=el,
     )
 
 
@@ -43,13 +41,13 @@ def test_next_pow2():
 
 
 def test_fft4d_zeros():
-    cfg = quad_config()
+    cfg = grid_config(2, 2)
     spec = fft4d(make_cube(np.zeros((8, 4, 2, 2), dtype=complex)), cfg, pad=(8, 4, 2, 2))
     assert not spec.data.any()
 
 
 def test_fft4d_impulse_is_flat():
-    cfg = quad_config()
+    cfg = grid_config(2, 2)
     data = np.zeros((8, 4, 2, 2), dtype=complex)
     data[0, 0, 0, 0] = 1.0
     spec = fft4d(make_cube(data), cfg, pad=(8, 4, 2, 2))
@@ -57,7 +55,7 @@ def test_fft4d_impulse_is_flat():
 
 
 def test_fft4d_exponential_peaks_at_k0():
-    cfg = quad_config()
+    cfg = grid_config(2, 2)
     k0 = 3
     n = np.arange(8)
     tone = np.exp(2j * np.pi * k0 * n / 8)
@@ -73,7 +71,7 @@ def test_fft4d_exponential_peaks_at_k0():
 
 @pytest.mark.parametrize("seed", range(5))
 def test_fft4d_matches_quadruple_loop_dft(seed):
-    cfg = quad_config()
+    cfg = grid_config(2, 2)
     rng = np.random.default_rng(seed)
     data = rng.standard_normal((8, 4, 2, 2)) + 1j * rng.standard_normal((8, 4, 2, 2))
     spec = fft4d(make_cube(data), cfg, pad=(8, 4, 2, 2))
@@ -94,13 +92,13 @@ def test_fft4d_default_pad_is_pow2():
 
 
 def test_fft4d_pad_too_small():
-    cfg = quad_config()
+    cfg = grid_config(2, 2)
     with pytest.raises(SpectralError, match="pad"):
         fft4d(make_cube(np.zeros((8, 4, 2, 2), dtype=complex)), cfg, pad=(4, 4, 2, 2))
 
 
 def test_fft4d_linearity(rng):
-    cfg = quad_config()
+    cfg = grid_config(2, 2)
     x = rng.standard_normal((8, 4, 2, 2)) + 1j * rng.standard_normal((8, 4, 2, 2))
     y = rng.standard_normal((8, 4, 2, 2)) + 1j * rng.standard_normal((8, 4, 2, 2))
     a, b = 2.5 - 1j, -0.5 + 3j
@@ -113,7 +111,7 @@ def test_fft4d_linearity(rng):
 
 
 def test_fft4d_parseval(rng):
-    cfg = quad_config()
+    cfg = grid_config(2, 2)
     x = rng.standard_normal((8, 4, 2, 2)) + 1j * rng.standard_normal((8, 4, 2, 2))
     spec = fft4d(make_cube(x), cfg, pad=(8, 4, 2, 2))
     lhs = (np.abs(spec.data) ** 2).sum()
@@ -122,7 +120,7 @@ def test_fft4d_parseval(rng):
 
 
 def test_fft4d_separability(rng):
-    cfg = quad_config()
+    cfg = grid_config(2, 2)
     x = rng.standard_normal((8, 4, 2, 2)) + 1j * rng.standard_normal((8, 4, 2, 2))
     spec = fft4d(make_cube(x), cfg, pad=(8, 4, 2, 2)).data
     for order in ((0, 1, 2, 3), (3, 2, 1, 0), (1, 3, 0, 2)):
@@ -133,64 +131,73 @@ def test_fft4d_separability(rng):
 
 
 def test_average_elevation_identity_when_single_slice(rng):
-    data = rng.standard_normal((4, 4, 2, 1)) + 1j * rng.standard_normal((4, 4, 2, 1))
-    spec = Spectrum4D(data=data, fft_lengths=(4, 4, 2, 1))
-    out = average_elevation(spec)
-    np.testing.assert_array_equal(out.data, data[..., 0])
-    assert out.angle_kind == "azimuth"
+    data = rng.standard_normal((4, 4, 8)) + 1j * rng.standard_normal((4, 4, 8))
+    cube = RadarCube(data=data, frame_index=3, radar_id="vertical")
+    out = average_elevation(cube, grid_config(8, 1))
+    assert isinstance(out, RadarCube)
+    assert (out.frame_index, out.radar_id) == (3, "vertical")
+    np.testing.assert_array_equal(out.data, data)
 
 
 def test_average_elevation_cancellation(rng):
-    v = rng.standard_normal((4, 4, 2, 1)) + 1j * rng.standard_normal((4, 4, 2, 1))
-    data = np.concatenate([v, -v], axis=3)
-    out = average_elevation(Spectrum4D(data=data, fft_lengths=(4, 4, 2, 2)))
-    np.testing.assert_allclose(out.data, 0, atol=1e-15)
+    # only elevation row q = 0 survives the complex mean over the elevation
+    # FFT axis: a cube whose row 0 is zero averages to zero everywhere
+    grid = rng.standard_normal((8, 4, 4, 3)) + 1j * rng.standard_normal((8, 4, 4, 3))
+    grid[..., 0] = 0
+    cfg = grid_config(4, 3)
+    cube = make_cube(grid)
+    np.testing.assert_allclose(fft4d(cube, cfg).data.mean(axis=3), 0, atol=1e-12)
+    assert not average_elevation(cube, cfg).data.any()
 
 
 def test_average_elevation_matches_loop(rng):
-    data = rng.standard_normal((4, 4, 2, 3)) + 1j * rng.standard_normal((4, 4, 2, 3))
-    out = average_elevation(Spectrum4D(data=data, fft_lengths=(4, 4, 2, 3), radar_id="vertical"))
+    # virtual antenna v sits at (p, q) = (v // Q, v % Q)
+    data = rng.standard_normal((4, 4, 6)) + 1j * rng.standard_normal((4, 4, 6))
+    rd = RangeDopplerMap(data=data, fft_lengths=(4, 4), radar_id="vertical")
+    out = average_elevation(rd, grid_config(2, 3))
     oracle = np.zeros((4, 4, 2), dtype=complex)
     for h in range(4):
         for i in range(4):
-            for j in range(2):
-                oracle[h, i, j] = sum(data[h, i, j, k] for k in range(3)) / 3
-    np.testing.assert_allclose(out.data, oracle, atol=1e-12)
-    assert out.angle_kind == "elevation"
+            for p in range(2):
+                oracle[h, i, p] = data[h, i, p * 3 + 0]
+    assert isinstance(out, RangeDopplerMap)
+    assert (out.fft_lengths, out.radar_id) == ((4, 4), "vertical")
+    np.testing.assert_array_equal(out.data, oracle)
 
 
-@pytest.mark.parametrize("az,el", [(4, 3), (2, 4)])
+def test_average_elevation_rejects_wrong_antenna_count():
+    cube = make_cube(np.zeros((8, 4, 6), dtype=complex))
+    with pytest.raises(SpectralError, match="4x3"):
+        average_elevation(cube, grid_config(4, 3))
+
+
+@pytest.mark.parametrize("az,el", [(4, 3), (2, 4), (8, 1)])
 def test_average_elevation_keeps_only_elevation_row_zero(rng, az, el):
-    # the complex mean over the elevation FFT axis is the 3-D FFT of
-    # elevation row q = 0: the other Q - 1 rows cancel out
-    cfg = RadarConfig(
-        num_adc_samples=8, num_chirps=4, num_tx=az, num_rx=el,
-        sample_rate=1e7, chirp_slope=3e13, carrier_freq=7.7e10,
-        azimuth_antennas=az, elevation_antennas=el,
-    )
+    # the defining identity: the complex mean over the zero-padded elevation
+    # FFT axis of the 4-D FFT is the P-axis FFT of elevation row q = 0
+    cfg = grid_config(az, el)
     grid = rng.standard_normal((8, 4, az, el)) + 1j * rng.standard_normal((8, 4, az, el))
-    spec = fft4d(make_cube(grid), cfg)
-    row0 = np.fft.fftn(grid[..., 0], s=spec.fft_lengths[:3], axes=(0, 1, 2))
-    np.testing.assert_allclose(average_elevation(spec).data, row0, rtol=1e-12)
+    cube = make_cube(grid)
+    rd = range_doppler_map(average_elevation(cube, cfg))
+    row0 = np.fft.fft(rd.data, n=next_pow2(az), axis=2)
+    reference = np.fft.fftshift(fft4d(cube, cfg).data.mean(axis=3), axes=1)
+    np.testing.assert_allclose(row0, reference, rtol=1e-12)
+
+
+def rd_map(data):
+    return RangeDopplerMap(data=data, fft_lengths=data.shape[:2])
 
 
 def test_sample_doppler_identity(rng):
     data = rng.standard_normal((4, 16, 2)) + 0j
-    rdam = RangeDopplerAngleMap(
-        data=data, fft_lengths=(4, 16, 2), angle_kind="azimuth", doppler_centered=True
-    )
-    out, idx = sample_doppler(rdam, keep=16, velocity_window=1.0)
-    np.testing.assert_array_equal(idx, np.arange(16))
+    out = sample_doppler(rd_map(data), keep=16, velocity_window=1.0)
     np.testing.assert_array_equal(out.data, data)
+    assert out.fft_lengths == (4, 16)
 
 
 def test_sample_doppler_keep_one_is_center(rng):
     data = rng.standard_normal((4, 16, 2)) + 0j
-    rdam = RangeDopplerAngleMap(
-        data=data, fft_lengths=(4, 16, 2), angle_kind="azimuth", doppler_centered=True
-    )
-    out, idx = sample_doppler(rdam, keep=1, velocity_window=0.5)
-    np.testing.assert_array_equal(idx, [8])
+    out = sample_doppler(rd_map(data), keep=1, velocity_window=0.5)
     np.testing.assert_array_equal(out.data, data[:, [8]])
 
 
@@ -213,19 +220,8 @@ def test_sample_doppler_keep_exceeds_window():
 
 def test_sample_doppler_is_subsequence(rng):
     data = rng.standard_normal((4, 16, 2)) + 1j * rng.standard_normal((4, 16, 2))
-    rdam = RangeDopplerAngleMap(
-        data=data, fft_lengths=(4, 16, 2), angle_kind="azimuth", doppler_centered=True
-    )
-    out, idx = sample_doppler(rdam, keep=4, velocity_window=0.5)
-    np.testing.assert_array_equal(out.data, data[:, idx])
-
-
-def test_sample_doppler_centers_uncentered_input(rng):
-    data = rng.standard_normal((4, 16, 2)) + 0j
-    rdam = RangeDopplerAngleMap(data=data, fft_lengths=(4, 16, 2), angle_kind="azimuth")
-    out, idx = sample_doppler(rdam, keep=4, velocity_window=0.5)
-    centered = center_doppler(rdam)
-    np.testing.assert_array_equal(out.data, centered.data[:, idx])
+    out = sample_doppler(rd_map(data), keep=4, velocity_window=0.5)
+    np.testing.assert_array_equal(out.data, data[:, doppler_sample_indices(16, 4, 0.5)])
 
 
 def test_range_doppler_zeros(small_config):
