@@ -23,6 +23,7 @@ from .config import RadarConfig
 
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
+INT16_MIN, INT16_MAX = -32768, 32767
 
 
 class AdcError(ValueError):
@@ -120,7 +121,11 @@ def parse_cubes(
 
 
 def serialize_cubes(cubes: list[RadarCube], layout: AdcLayout, config: RadarConfig) -> bytes:
-    """Inverse of parse_cubes; real and imaginary parts are rounded to int16."""
+    """Inverse of parse_cubes; real and imaginary parts are rounded to int16.
+
+    A rounded value outside the int16 range (or NaN) raises AdcError instead
+    of wrapping around.
+    """
     shape = (config.num_adc_samples, config.num_chirps, config.num_virtual)
     lane_shape, grid_shape = _shapes(len(cubes), layout, config)
     lanes = np.empty(lane_shape, dtype="<i2")
@@ -129,6 +134,15 @@ def serialize_cubes(cubes: list[RadarCube], layout: AdcLayout, config: RadarConf
             raise AdcError(f"cube shape {cube.data.shape} does not match config {shape}")
         # (group, lane, chirp, tx, rx) -> (chirp, tx, rx, group, lane)
         grid = cube.data.reshape(grid_shape[1:]).transpose(2, 3, 4, 0, 1)
-        out[..., 0, :] = np.round(grid.real)
-        out[..., 1, :] = np.round(grid.imag)
+        re, im = np.round(grid.real), np.round(grid.imag)
+        # NaN propagates through min/max and fails the range test
+        lo, hi = np.minimum(re.min(), im.min()), np.maximum(re.max(), im.max())
+        if not (INT16_MIN <= lo and hi <= INT16_MAX):
+            peak = lo if -lo > hi else hi
+            raise AdcError(
+                f"frame {cube.frame_index}: peak value {peak:g} is outside the int16 "
+                f"range [{INT16_MIN}, {INT16_MAX}]; use a lower scale (simulate --scale)"
+            )
+        out[..., 0, :] = re
+        out[..., 1, :] = im
     return lanes.tobytes()

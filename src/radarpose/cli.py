@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Iterator
 from dataclasses import replace
@@ -42,28 +43,31 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         scene = sim.SceneSpec(targets=scene.targets, snr_db=scene.snr_db, noise_seed=args.seed)
     layout = adc.AdcLayout()
-    cubes = []
-    for radar_id, out_path in _sim_outputs(args):
-        frames = [
-            sim.synth_frame(scene, config, radar_id=radar_id, frame_index=i)
-            for i in range(args.frames)
-        ]
-        for f in frames:
-            for w in f.warnings:
-                print(f"warning: {w}", file=sys.stderr)
-        scaled = [
-            adc.RadarCube(
-                data=f.data * args.scale, frame_index=f.frame_index, radar_id=f.radar_id
-            )
-            for f in frames
-        ]
-        Path(out_path).write_bytes(adc.serialize_cubes(scaled, layout, config))
-        cubes.append(out_path)
+    outputs = _sim_outputs(args)
+    # frames stream into <output>.part files, renamed only once every frame
+    # of every radar is written, so a failing frame leaves no capture behind
+    parts = [f"{path}.part" for _, path in outputs]
+    try:
+        for (radar_id, _), part in zip(outputs, parts):
+            with open(part, "wb") as fh:
+                for i in range(args.frames):
+                    cube = sim.synth_frame(scene, config, radar_id=radar_id, frame_index=i)
+                    for w in cube.warnings:
+                        print(f"warning: {w}", file=sys.stderr)
+                    # the cube's array is fresh and owned here: scale it in place
+                    np.multiply(cube.data, args.scale, out=cube.data)
+                    fh.write(adc.serialize_cubes([cube], layout, config))
+    except BaseException:
+        for part in parts:
+            Path(part).unlink(missing_ok=True)
+        raise
+    for (_, path), part in zip(outputs, parts):
+        os.replace(part, path)
     write_manifest(
         _manifest_path(args.output),
         command="simulate",
         inputs=[args.scene],
-        outputs=cubes,
+        outputs=[path for _, path in outputs],
         seed=scene.noise_seed,
         config_path=args.config,
         extra={"frames": args.frames, "scale": args.scale},
@@ -106,19 +110,22 @@ def _load_cubes(path: str, config, radar_id: str) -> tuple[int, Iterator[adc.Rad
 
 def cmd_heatmap(args) -> int:
     config = load_config(args.config)
-    _, cubes = _load_cubes(args.adc, config, args.radar)
+    num_frames, cubes = _load_cubes(args.adc, config, args.radar)
     fft_branch = args.branch == "fft"
     angle_fft = spectral.next_pow2(config.array_shape[0])
-    frames = []
-    for cube in cubes:
+    maps = None
+    for i, cube in enumerate(cubes):
         # the fft branch averages elevation first, so the RD FFT runs on 1/Q of the cube
         rd = spectral.range_doppler_map(
             spectral.average_elevation(cube, config) if fft_branch else cube
         )
         if args.doppler_keep:
             rd = spectral.sample_doppler(rd, args.doppler_keep, args.doppler_window)
-        frames.append(np.fft.fft(rd.data, n=angle_fft, axis=2) if fft_branch else rd.data)
-    tensorio.write_tensor(args.output, np.stack(frames))
+        frame = np.fft.fft(rd.data, n=angle_fft, axis=2) if fft_branch else rd.data
+        if maps is None:
+            maps = np.empty((num_frames,) + frame.shape, dtype=frame.dtype)
+        maps[i] = frame
+    tensorio.write_tensor(args.output, maps)
     write_manifest(
         _manifest_path(args.output),
         command="heatmap",

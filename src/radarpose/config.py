@@ -82,7 +82,7 @@ _INT_FIELDS = {
 }
 _REQUIRED = {
     "num_adc_samples", "num_chirps", "num_tx", "num_rx",
-    "sample_rate", "chirp_slope", "carrier_freq", "frame_rate",
+    "sample_rate", "chirp_slope", "carrier_freq",
 }
 
 

@@ -9,13 +9,27 @@ with beat frequency f_b = 2*slope*range/c, Doppler f_d = 2*v_r*f_c/c, slow
 time step T_c, and (p, q) the virtual antenna's position in the array grid.
 a1 is the angle along the radar's primary array axis (azimuth for the
 horizontal radar, elevation for the vertical one); a2 is the other angle.
+
+The phase is a sum of a range, a Doppler and a steering term, so the
+exponential factors into three 1-D phasors per target t:
+
+    cube[n, m, v] = sum_t A_t * r_t[n] * d_t[m] * s_t[v]
+
+``synth_frame`` evaluates this as one (N*M x T) @ (T x V) matrix product of
+the range-Doppler phasors r_t[n]*d_t[m] and the steering phasors s_t[v],
+built from 3*T short 1-D exponentials instead of T complex exponentials over
+the whole N x M x V grid. The target sum runs in scene order, so a scene's
+cube is bitwise the sum of its targets' cubes. Noise is then added in place,
+sigma*a to the real and sigma*b to the imaginary part, from two
+``standard_normal`` draws (a first); this gives the same values as adding
+sigma * (a + 1j*b) without the complex temporaries.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -133,18 +147,14 @@ def synth_frame(
     The noise RNG is seeded per (noise_seed, frame_index, radar) so every
     frame and radar draws an independent but reproducible stream.
     """
-    n = np.arange(config.num_adc_samples)[:, None, None]
-    m = np.arange(config.num_chirps)[None, :, None]
-    v = np.arange(config.num_virtual)[None, None, :]
-    p_count, q_count = config.array_shape
-    p = v // q_count
-    q = v % q_count
-    data = np.zeros(
-        (config.num_adc_samples, config.num_chirps, config.num_virtual),
-        dtype=np.complex128,
-    )
+    n_count, m_count, v_count = config.num_adc_samples, config.num_chirps, config.num_virtual
+    q_count = config.array_shape[1]
+    n = np.arange(n_count)
+    m = np.arange(m_count)
+    p, q = np.divmod(np.arange(v_count), q_count)
     warnings = []
     t_c = _slow_time_step(config)
+    range_doppler, steering = [], []
     for idx, tgt in enumerate(scene.targets):
         f_b = _beat_freq(tgt, config)
         f_d = _doppler_freq(tgt, config)
@@ -153,12 +163,20 @@ def synth_frame(
         if abs(f_d * t_c) >= 0.5:
             warnings.append(f"target {idx}: Doppler aliases (velocity too large)")
         a1, a2 = _array_angles(tgt, radar_id)
-        phase = (
-            f_b * n / config.sample_rate
-            + f_d * t_c * m
-            + config.antenna_spacing * (p * math.sin(a1) + q * math.sin(a2))
+        r = tgt.rcs_amplitude * np.exp(2j * np.pi * (f_b * n / config.sample_rate))
+        d = np.exp(2j * np.pi * (f_d * t_c * m))
+        range_doppler.append(np.outer(r, d).ravel())
+        steering.append(
+            np.exp(2j * np.pi * (config.antenna_spacing * (p * math.sin(a1) + q * math.sin(a2))))
         )
-        data += tgt.rcs_amplitude * np.exp(2j * np.pi * phase)
+    # the (N*M x T) @ (T x V) product, one antenna column at a time with the
+    # target sum in scene order: BLAS would reorder that sum, and a scene would
+    # no longer be bitwise the sum of its targets' cubes
+    columns = np.zeros((v_count, n_count * m_count), dtype=np.complex128)
+    for v, column in enumerate(columns):
+        for rd, s in zip(range_doppler, steering):
+            column += rd * s[v]
+    data = np.ascontiguousarray(columns.T).reshape(n_count, m_count, v_count)
     if scene.snr_db is not None:
         amp_ref = max((t.rcs_amplitude for t in scene.targets), default=1.0)
         noise_power = amp_ref ** 2 / 10.0 ** (scene.snr_db / 10.0)
@@ -166,7 +184,8 @@ def synth_frame(
             [scene.noise_seed, frame_index, 0 if radar_id == HORIZONTAL else 1]
         )
         sigma = math.sqrt(noise_power / 2.0)
-        data += sigma * (rng.standard_normal(data.shape) + 1j * rng.standard_normal(data.shape))
+        data.real += sigma * rng.standard_normal(data.shape)
+        data.imag += sigma * rng.standard_normal(data.shape)
     return RadarCube(
         data=data, frame_index=frame_index, radar_id=radar_id, warnings=tuple(warnings)
     )

@@ -110,6 +110,30 @@ def test_serialize_round_trip(small_config, rng):
     assert serialize_cubes(cubes, AdcLayout(), small_config) == raw
 
 
+def test_serialize_int16_extremes_round_trip(small_config):
+    # -32768.4 and 32767.4 round into range and are written exactly
+    data = np.full((4, 2, 4), -32768.4 + 32767.4j)
+    cube = RadarCube(data=data, frame_index=0, radar_id="horizontal")
+    (back,) = parse_cubes(serialize_cubes([cube], AdcLayout(), small_config),
+                          AdcLayout(), small_config)
+    np.testing.assert_array_equal(back.data, np.full((4, 2, 4), -32768 + 32767j))
+
+
+@pytest.mark.parametrize("value,peak", [
+    (40000 + 70000j, "70000"),   # int16 would wrap these to -25536 and 4464
+    (32767.5 + 0j, "32768"),     # rounds out of range
+    (-32768.6 + 0j, "-32769"),
+    (complex(np.nan, 0), "nan"),
+])
+def test_serialize_rejects_values_outside_int16(small_config, value, peak):
+    ok = RadarCube(data=np.zeros((4, 2, 4), complex), frame_index=0, radar_id="horizontal")
+    data = np.zeros((4, 2, 4), complex)
+    data[1, 1, 2] = value
+    bad = RadarCube(data=data, frame_index=1, radar_id="horizontal")
+    with pytest.raises(AdcError, match=f"frame 1: peak value {peak} .*int16.*scale"):
+        serialize_cubes([ok, bad], AdcLayout(), small_config)
+
+
 def test_cube_round_trip(small_config, rng):
     values = rng.integers(-500, 500, size=(2, 4, 2, 4))
     cube = RadarCube(data=values[0] + 1j * values[1], frame_index=0, radar_id="horizontal")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from radarpose import adc, probmap, spectral
+from radarpose import adc, probmap, sim, spectral
 from radarpose.cli import EXIT_CONTRACT, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from radarpose.config import load_config
 from radarpose.manifest import sha256_file
@@ -256,8 +256,12 @@ def test_probmap_computes_one_rd_map_per_cube(tmp_path, cfg_file, monkeypatch):
         assert json.loads(open(f"{prefix}.bins.{tag}.json").read())["frame"] == i
 
 
-def test_probmap_memory_is_bounded_by_capture_plus_a_few_frames(tmp_path):
-    # 64x16x8 cubes: one frame is 32 KiB of int16 and 128 KiB of complex128
+# 64x16x8 cubes: one frame is 32 KiB of int16 and 128 KiB of complex128
+CUBE_BYTES = 64 * 16 * 8 * 16
+
+
+def simulate_64_frames(tmp_path):
+    """Config path and the argv simulating 64 frames of both radars at 64x16x8."""
     cfg = tmp_path / "radar.cfg"
     cfg.write_text(
         CONFIG.replace("num_adc_samples = 32", "num_adc_samples = 64")
@@ -265,24 +269,61 @@ def test_probmap_memory_is_bounded_by_capture_plus_a_few_frames(tmp_path):
         .replace("num_rx = 2", "num_rx = 4")
     )
     scene = write_scene(tmp_path, targets=[{"range": 6.0}], snr_db=20)
-    assert main(["simulate", scene, "--config", str(cfg), "--output", str(tmp_path / "cap.bin"),
-                 "--radar", "both", "--frames", "64"]) == EXIT_OK
-    capture_bytes = sum((tmp_path / f"cap.{r}.bin").stat().st_size for r in "hv")
-    cube_bytes = 64 * 16 * 8 * 16
-    assert capture_bytes == 2 * 64 * cube_bytes // 4
+    argv = ["simulate", scene, "--config", str(cfg), "--output", str(tmp_path / "cap.bin"),
+            "--radar", "both", "--frames", "64"]
+    return cfg, argv
+
+
+def traced_peak(argv):
+    """Exit code and tracemalloc peak bytes of one cli.main call."""
     tracemalloc.start()
     try:
-        code = main([
-            "probmap", str(tmp_path / "cap.h.bin"), str(tmp_path / "cap.v.bin"),
-            "--config", str(cfg), "--output", str(tmp_path / "out"), "--pe-depth", "8",
-        ])
+        code = main(argv)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return code, peak
+
+
+def test_simulate_memory_is_bounded_by_a_few_frames(tmp_path):
+    _, argv = simulate_64_frames(tmp_path)
+    # a one-frame run first, so lazy imports (numpy.random) are not traced
+    assert main(argv[:-1] + ["1"]) == EXIT_OK
+    code, peak = traced_peak(argv)
+    assert code == EXIT_OK
+    # one cube, its noise draws and int16 lanes, plus the manifest hashing the
+    # capture in 1 MiB chunks (two alive at once); holding the whole capture
+    # as cubes would take 2 x 64 cubes and their scaled copies
+    assert peak < 2 * (1 << 20) + 8 * CUBE_BYTES
+
+
+def test_heatmap_memory_is_bounded_by_capture_output_and_a_few_frames(tmp_path):
+    cfg, argv = simulate_64_frames(tmp_path)
+    assert main(argv) == EXIT_OK
+    capture_bytes = (tmp_path / "cap.h.bin").stat().st_size
+    out = tmp_path / "maps.tensor"
+    code, peak = traced_peak(["heatmap", str(tmp_path / "cap.h.bin"), "--config", str(cfg),
+                              "--output", str(out), "--branch", "rd"])
+    assert code == EXIT_OK
+    output_bytes = 64 * CUBE_BYTES
+    assert read_tensor(out).nbytes == output_bytes
+    # stacking a list of per-frame maps would add a second copy of the output
+    assert peak < capture_bytes + output_bytes + 8 * CUBE_BYTES
+
+
+def test_probmap_memory_is_bounded_by_capture_plus_a_few_frames(tmp_path):
+    cfg, argv = simulate_64_frames(tmp_path)
+    assert main(argv) == EXIT_OK
+    capture_bytes = sum((tmp_path / f"cap.{r}.bin").stat().st_size for r in "hv")
+    assert capture_bytes == 2 * 64 * CUBE_BYTES // 4
+    code, peak = traced_peak([
+        "probmap", str(tmp_path / "cap.h.bin"), str(tmp_path / "cap.v.bin"),
+        "--config", str(cfg), "--output", str(tmp_path / "out"), "--pe-depth", "8",
+    ])
     assert code == EXIT_OK
     # one frame pair, its RD maps, FFT temporaries and the previous pair come
     # to about 9 cubes; parsing whole captures would add 2 x 64 cubes
-    assert peak < capture_bytes + 16 * cube_bytes
+    assert peak < capture_bytes + 16 * CUBE_BYTES
 
 
 def test_fuse_zero_identity_and_commutation(tmp_path, rng):
@@ -382,6 +423,43 @@ def test_eval_malformed_frames_exit_3(tmp_path):
     assert main([
         "eval", str(tmp_path / "pred.json"), str(tmp_path / "gt.json"),
     ]) == EXIT_DATA
+
+
+def test_simulate_int16_overflow_exits_3_and_writes_nothing(tmp_path, cfg_file, capsys):
+    # amplitude 40 at the default scale 1000 peaks at 40000 > 32767
+    scene = write_scene(tmp_path, targets=[{"range": 5.0, "rcs_amplitude": 40}])
+    before = set(tmp_path.iterdir())
+    assert main([
+        "simulate", scene, "--config", cfg_file, "--output", str(tmp_path / "cap.bin"),
+        "--radar", "both",
+    ]) == EXIT_DATA
+    assert set(tmp_path.iterdir()) == before
+    err = capsys.readouterr().err
+    assert "frame 0: peak value 40000" in err and "--scale" in err
+    assert main([
+        "simulate", scene, "--config", cfg_file, "--output", str(tmp_path / "cap.bin"),
+        "--radar", "both", "--scale", "500",
+    ]) == EXIT_OK
+
+
+def test_simulate_failing_frame_leaves_no_capture(tmp_path, cfg_file, monkeypatch):
+    scene = write_scene(tmp_path, targets=[{"range": 5.0}], snr_db=20)
+    original = sim.synth_frame
+
+    def failing(spec, config, radar_id="horizontal", frame_index=0):
+        if radar_id == "vertical" and frame_index == 2:
+            raise sim.SimError("injected failure")
+        return original(spec, config, radar_id=radar_id, frame_index=frame_index)
+
+    monkeypatch.setattr(sim, "synth_frame", failing)
+    (tmp_path / "cap.h.bin").write_bytes(b"old")
+    before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    assert main([
+        "simulate", scene, "--config", cfg_file, "--output", str(tmp_path / "cap.bin"),
+        "--radar", "both", "--frames", "4",
+    ]) == EXIT_CONTRACT
+    # no partial capture, and the capture that was there is untouched
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_simulate_zero_frames_exits_4(tmp_path, cfg_file):

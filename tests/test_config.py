@@ -62,6 +62,13 @@ def test_missing_required():
         parse_config_text("num_adc_samples = 4\n")
 
 
+def test_frame_rate_is_optional():
+    cfg = parse_config_text(GOOD.replace("frame_rate = 10\n", ""))
+    assert cfg.frame_rate == 10.0
+    # 10 fps * 16 chirps * 2 tx firings
+    assert cfg.chirp_interval == pytest.approx(1.0 / 320.0)
+
+
 def test_geometry_must_cover_virtual_array():
     with pytest.raises(ConfigError, match="geometry"):
         parse_config_text(GOOD + "azimuth_antennas = 3\nelevation_antennas = 2\n")

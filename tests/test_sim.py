@@ -47,6 +47,59 @@ def test_superposition_exact(sim_config):
     np.testing.assert_array_equal(both.data, single)
 
 
+def phase_sum_reference(scene, cfg, radar_id):
+    """Noise-free cube as the per-element sum of A * exp(2j*pi*(total phase))."""
+    q_count = cfg.array_shape[1]
+    n, m, v = np.indices((cfg.num_adc_samples, cfg.num_chirps, cfg.num_virtual))
+    p, q = v // q_count, v % q_count
+    t_c = cfg.chirp_interval * cfg.num_tx
+    cube = np.zeros(n.shape, dtype=complex)
+    for t in scene.targets:
+        f_b = 2 * cfg.chirp_slope * t.range_m / SPEED_OF_LIGHT
+        f_d = 2 * t.radial_velocity * cfg.carrier_freq / SPEED_OF_LIGHT
+        a1, a2 = (t.azimuth, t.elevation) if radar_id == "horizontal" else (t.elevation, t.azimuth)
+        phase = (f_b * n / cfg.sample_rate + f_d * t_c * m
+                 + cfg.antenna_spacing * (p * np.sin(a1) + q * np.sin(a2)))
+        cube += t.rcs_amplitude * np.exp(2j * np.pi * phase)
+    return cube
+
+
+@pytest.mark.parametrize("num_targets", [0, 1, 14])
+@pytest.mark.parametrize("radar_id", ["horizontal", "vertical"])
+@pytest.mark.parametrize("az,el", [(8, 1), (4, 2), (2, 4)])
+def test_separable_synthesis_matches_phase_sum(az, el, radar_id, num_targets):
+    cfg = RadarConfig(
+        num_adc_samples=64, num_chirps=16, num_tx=2, num_rx=4,
+        sample_rate=1e7, chirp_slope=3e13, carrier_freq=7.7e10,
+        azimuth_antennas=az, elevation_antennas=el,
+    )
+    rng = np.random.default_rng(num_targets)
+    scene = SceneSpec(targets=tuple(
+        Target(
+            range_m=rng.uniform(0.5, 20.0),
+            radial_velocity=velocity_for_bin(cfg, rng.uniform(-7.0, 7.0), 16),
+            azimuth=rng.uniform(-1.2, 1.2),
+            elevation=rng.uniform(-1.2, 1.2),
+            rcs_amplitude=rng.uniform(0.1, 3.0),
+        ) for _ in range(num_targets)
+    ))
+    got = synth_frame(scene, cfg, radar_id=radar_id).data
+    want = phase_sum_reference(scene, cfg, radar_id)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_noise_is_sigma_times_two_standard_normal_draws(sim_config):
+    scene = SceneSpec(targets=(Target(range_m=5.0, rcs_amplitude=2.0),), snr_db=10, noise_seed=3)
+    got = synth_frame(scene, sim_config, radar_id="vertical", frame_index=4).data
+    rng = np.random.default_rng([3, 4, 1])
+    sigma = np.sqrt(4.0 / 10.0 / 2.0)
+    a = rng.standard_normal(got.shape)
+    b = rng.standard_normal(got.shape)
+    clean = synth_frame(SceneSpec(targets=scene.targets), sim_config, radar_id="vertical").data
+    np.testing.assert_array_equal(got, clean + sigma * (a + 1j * b))
+
+
 def test_expected_bins_direct_arithmetic():
     cfg = RadarConfig(
         num_adc_samples=64, num_chirps=16, num_tx=1, num_rx=4,
