@@ -15,7 +15,7 @@ to and from (frame, n, m, v).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,7 +65,6 @@ class RadarCube:
     data: np.ndarray
     frame_index: int
     radar_id: str
-    warnings: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
         if self.data.ndim != 3:

@@ -71,11 +71,18 @@ def cfar_alpha(params: CfarParams, n_ref) -> np.ndarray | float:
     return float(alpha) if alpha.ndim == 0 else alpha
 
 
-def _box_sum(arr: np.ndarray, half: int) -> np.ndarray:
-    """Sum over the (2*half+1)^2 window centered at each cell, clipped at edges."""
+def _summed_area(arr: np.ndarray) -> np.ndarray:
+    """Cumulative-sum table with a leading zero row and column."""
     rows, cols = arr.shape
     c = np.zeros((rows + 1, cols + 1))
     np.cumsum(np.cumsum(arr, axis=0), axis=1, out=c[1:, 1:])
+    return c
+
+
+def _box_sum(c: np.ndarray, half: int) -> np.ndarray:
+    """Sum over the (2*half+1)^2 window centered at each cell, clipped at edges,
+    from the map's ``_summed_area`` table ``c``."""
+    rows, cols = c.shape[0] - 1, c.shape[1] - 1
     r0 = np.clip(np.arange(rows) - half, 0, rows)
     r1 = np.clip(np.arange(rows) + half + 1, 0, rows)
     c0 = np.clip(np.arange(cols) - half, 0, cols)
@@ -102,7 +109,8 @@ def detect_2d(mag_map: np.ndarray, params: CfarParams) -> DetectionMask:
         raise CfarError("magnitude map must be nonnegative")
     rows, cols = mag_map.shape
     outer = params.guard + params.reference
-    ring_sum = _box_sum(mag_map, outer) - _box_sum(mag_map, params.guard)
+    table = _summed_area(mag_map)
+    ring_sum = _box_sum(table, outer) - _box_sum(table, params.guard)
     n_ref = _box_count(rows, cols, outer) - _box_count(rows, cols, params.guard)
     if not np.any(n_ref > 0):
         raise CfarError(

@@ -21,7 +21,9 @@ import numpy as np
 from . import __version__, adc, cfar, fusion, probmap, sim, spectral, tensorio
 from .config import ConfigError, load_config
 from .manifest import write_manifest
-from .pose import PoseError, load_keypoint_frames, load_oks_params, ap_summary, oks_per_frame
+from .pose import (
+    OksParams, PoseError, ap_summary, load_keypoint_frames, load_oks_params, oks_per_frame,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -44,6 +46,8 @@ def cmd_simulate(args) -> int:
         scene = sim.SceneSpec(targets=scene.targets, snr_db=scene.snr_db, noise_seed=args.seed)
     layout = adc.AdcLayout()
     outputs = _sim_outputs(args)
+    for w in sim.scene_warnings(scene, config):
+        print(f"warning: {w}", file=sys.stderr)
     # frames stream into <output>.part files, renamed only once every frame
     # of every radar is written, so a failing frame leaves no capture behind
     parts = [f"{path}.part" for _, path in outputs]
@@ -52,8 +56,6 @@ def cmd_simulate(args) -> int:
             with open(part, "wb") as fh:
                 for i in range(args.frames):
                     cube = sim.synth_frame(scene, config, radar_id=radar_id, frame_index=i)
-                    for w in cube.warnings:
-                        print(f"warning: {w}", file=sys.stderr)
                     # the cube's array is fresh and owned here: scale it in place
                     np.multiply(cube.data, args.scale, out=cube.data)
                     fh.write(adc.serialize_cubes([cube], layout, config))
@@ -167,7 +169,7 @@ def cmd_probmap(args) -> int:
         enc_path = f"{args.output}.enc.{tag}.tensor"
         side_path = f"{args.output}.bins.{tag}.json"
         tensorio.write_tensor(prob_path, pmap.values)
-        tensorio.write_tensor(enc_path, encoded.values)
+        tensorio.write_tensor(enc_path, encoded)
         Path(side_path).write_text(
             json.dumps(
                 {
@@ -201,7 +203,7 @@ def cmd_fuse(args) -> int:
     t1 = tensorio.read_tensor(args.tensor1)
     t2 = tensorio.read_tensor(args.tensor2)
     f1 = fusion.FeatureTensor(values=t1, layer_id=args.layer)
-    f2 = fusion.FeatureTensor(values=t2, layer_id=args.layer, source=fusion.PROB_ENCODING_BRANCH)
+    f2 = fusion.FeatureTensor(values=t2, layer_id=args.layer)
     fused = fusion.fuse_add(f1, f2)
     tensorio.write_tensor(args.output, fused.values)
     write_manifest(
@@ -216,8 +218,8 @@ def cmd_fuse(args) -> int:
 def cmd_eval(args) -> int:
     preds = load_keypoint_frames(args.pred)
     gts = load_keypoint_frames(args.gt)
-    params = load_oks_params(args.oks_config) if args.oks_config else None
-    values = oks_per_frame(preds, gts, params) if params else oks_per_frame(preds, gts)
+    params = load_oks_params(args.oks_config) if args.oks_config else OksParams()
+    values = oks_per_frame(preds, gts, params)
     report = ap_summary(values)
     report["per_frame_oks"] = values
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"

@@ -12,10 +12,6 @@ from typing import Sequence
 
 import numpy as np
 
-FFT_BRANCH = "fft-branch"
-PROB_ENCODING_BRANCH = "prob-encoding-branch"
-FUSED = "fused"
-
 DEFAULT_NUM_FRAMES = 8
 
 
@@ -27,7 +23,6 @@ class FusionError(ValueError):
 class FeatureTensor:
     values: np.ndarray  # (channel, spatial...)
     layer_id: int = 1
-    source: str = FFT_BRANCH
 
     def __post_init__(self):
         if self.layer_id not in (1, 2, 3):
@@ -39,13 +34,11 @@ class FeatureTensor:
 @dataclass(frozen=True)
 class MultiFrameTensor:
     values: np.ndarray  # (frame, channel, spatial...)
-    frame_indices: tuple[int, ...]
 
 
 def stack_frames(
     features: Sequence[FeatureTensor],
     count: int = DEFAULT_NUM_FRAMES,
-    frame_indices: Sequence[int] | None = None,
 ) -> MultiFrameTensor:
     """Stack per-frame features along a new leading frame axis.
 
@@ -62,18 +55,7 @@ def stack_frames(
             raise FusionError(
                 f"frame {i} has shape {f.values.shape}, expected {shape}"
             )
-    if frame_indices is None:
-        frame_indices = tuple(range(count))
-    else:
-        frame_indices = tuple(int(i) for i in frame_indices)
-        if len(frame_indices) != count:
-            raise FusionError("frame_indices length must equal count")
-        if any(b <= a for a, b in zip(frame_indices, frame_indices[1:])):
-            raise FusionError(f"frame indices not increasing: {frame_indices}")
-    return MultiFrameTensor(
-        values=np.stack([f.values for f in features]),
-        frame_indices=frame_indices,
-    )
+    return MultiFrameTensor(values=np.stack([f.values for f in features]))
 
 
 def fuse_add(f1: FeatureTensor, f2: FeatureTensor) -> FeatureTensor:
@@ -84,7 +66,5 @@ def fuse_add(f1: FeatureTensor, f2: FeatureTensor) -> FeatureTensor:
         )
     if f1.layer_id != f2.layer_id:
         raise FusionError(f"layer mismatch: {f1.layer_id} vs {f2.layer_id}")
-    return FeatureTensor(
-        values=f1.values + f2.values, layer_id=f1.layer_id, source=FUSED
-    )
+    return FeatureTensor(values=f1.values + f2.values, layer_id=f1.layer_id)
 

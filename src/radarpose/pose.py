@@ -1,11 +1,10 @@
-"""Pose keypoint evaluation: Gaussian ground-truth heatmaps, pixel-wise
-binary cross-entropy, object keypoint similarity (OKS), and AP summaries.
+"""Pose keypoint evaluation: pixel-wise binary cross-entropy, object
+keypoint similarity (OKS), and AP summaries.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -96,26 +95,6 @@ class OksParams:
     def __post_init__(self):
         if len(self.sigmas) != NUM_JOINTS or any(s <= 0 for s in self.sigmas):
             raise PoseError(f"sigmas must be {NUM_JOINTS} positive values")
-
-
-def gaussian_heatmap(kp: KeypointSet, size: tuple[int, int], sigma_px: float = 2.0) -> np.ndarray:
-    """Per-joint Gaussian bump heatmaps of shape (14, H, W).
-
-    Joints are snapped to the nearest pixel center so the peak value is
-    exactly 1; invisible joints produce an all-zero channel.
-    """
-    w, h = size
-    out = np.zeros((NUM_JOINTS, h, w))
-    ys, xs = np.mgrid[0:h, 0:w]
-    for c, ((x, y), vis) in enumerate(zip(kp.xy, kp.visibility)):
-        if not vis:
-            continue
-        if not (0 <= x < w and 0 <= y < h):
-            raise PoseError(f"visible joint {JOINT_NAMES[c]} at ({x}, {y}) outside {w}x{h}")
-        cx, cy = round(x), round(y)
-        cx, cy = min(cx, w - 1), min(cy, h - 1)
-        out[c] = np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2) / (2.0 * sigma_px ** 2))
-    return out
 
 
 def bce_loss(pred: np.ndarray, target: np.ndarray) -> float:

@@ -32,8 +32,7 @@ class RangeAngleVector:
     values: np.ndarray
     bins: RangeBinSet
     angle_kind: str
-    normalized: bool = False
-    empty_rows: tuple[bool, ...] = ()
+    empty_rows: tuple[bool, ...]
 
     def __post_init__(self):
         if self.values.ndim != 2 or self.values.shape[0] != len(self.bins):
@@ -63,21 +62,6 @@ class PositionalEncoding:
 
     channels: np.ndarray
     depth: int
-
-
-@dataclass(frozen=True)
-class EncodedFeature:
-    values: np.ndarray  # (R_sel, 2*depth, A, E)
-    range_bins: RangeBinSet
-    depth: int
-
-
-def average_doppler(values: np.ndarray) -> np.ndarray:
-    """Arithmetic mean of magnitudes along the Doppler axis (axis 1)."""
-    values = np.asarray(values)
-    if values.ndim != 3:
-        raise ProbMapError(f"expected (range, Doppler, angle), got shape {values.shape}")
-    return np.abs(values).mean(axis=1)
 
 
 def angle_spectrum(
@@ -110,8 +94,8 @@ def angle_spectrum(
     angle_len = angle_fft or next_pow2(sub.shape[2])
     if angle_len < sub.shape[2]:
         raise ProbMapError(f"angle FFT length {angle_len} < {sub.shape[2]} antennas")
-    spectra = np.abs(np.fft.fft(sub, n=angle_len, axis=2))
-    values = average_doppler(spectra)
+    spectra = np.fft.fft(sub, n=angle_len, axis=2)
+    values = np.abs(spectra).mean(axis=1)
     empty = tuple(bool(r) for r in ~values.any(axis=1))
     return RangeAngleVector(values=values, bins=bins, angle_kind=axis, empty_rows=empty)
 
@@ -127,7 +111,6 @@ def normalize(v: RangeAngleVector) -> RangeAngleVector:
         values=v.values / safe[:, None],
         bins=v.bins,
         angle_kind=v.angle_kind,
-        normalized=True,
         empty_rows=tuple(bool(e) for e in empty),
     )
 
@@ -141,7 +124,7 @@ def _expand_to(v: RangeAngleVector, union: tuple[int, ...]) -> tuple[np.ndarray,
     for row, b in enumerate(union):
         if b in lookup:
             out[row] = v.values[lookup[b]]
-            empty[row] = v.empty_rows[lookup[b]] if v.empty_rows else False
+            empty[row] = v.empty_rows[lookup[b]]
     return out, empty
 
 
@@ -150,10 +133,12 @@ def probability_map(v_ra: RangeAngleVector, v_re: RangeAngleVector) -> Probabili
 
     Bin sets from the two radars may differ: the map covers their union, and
     a radar's missing row is replaced by the uniform distribution (keeps unit
-    sum).
+    sum). Each row must sum to 1 within 1e-9, or to 0 if flagged empty.
     """
-    if not (v_ra.normalized and v_re.normalized):
-        raise ProbMapError("both vectors must be normalized")
+    for v in (v_ra, v_re):
+        target = np.where(v.empty_rows, 0.0, 1.0)
+        if np.any(np.abs(v.values.sum(axis=1) - target) > 1e-9):
+            raise ProbMapError("both vectors must be normalized")
     if v_ra.angle_kind != AZIMUTH or v_re.angle_kind != ELEVATION:
         raise ProbMapError(
             f"expected azimuth x elevation, got {v_ra.angle_kind} x {v_re.angle_kind}"
@@ -198,12 +183,11 @@ def positional_encoding(a_bins: int, e_bins: int, depth: int = 32) -> Positional
     return PositionalEncoding(channels=channels, depth=depth)
 
 
-def encode_map(p: ProbabilityMap, pe: PositionalEncoding) -> EncodedFeature:
-    """Add positional encoding to probability values, broadcast over channels."""
+def encode_map(p: ProbabilityMap, pe: PositionalEncoding) -> np.ndarray:
+    """Probability values plus positional encoding, shape (R_sel, 2*depth, A, E)."""
     if p.values.shape[1:] != pe.channels.shape[1:]:
         raise ProbMapError(
             f"map axes {p.values.shape[1:]} do not match encoding axes "
             f"{pe.channels.shape[1:]}"
         )
-    values = p.values[:, None, :, :] + pe.channels[None]
-    return EncodedFeature(values=values, range_bins=p.range_bins, depth=pe.depth)
+    return p.values[:, None, :, :] + pe.channels[None]

@@ -15,14 +15,14 @@ exponential factors into three 1-D phasors per target t:
 
     cube[n, m, v] = sum_t A_t * r_t[n] * d_t[m] * s_t[v]
 
-``synth_frame`` evaluates this as one (N*M x T) @ (T x V) matrix product of
-the range-Doppler phasors r_t[n]*d_t[m] and the steering phasors s_t[v],
-built from 3*T short 1-D exponentials instead of T complex exponentials over
-the whole N x M x V grid. The target sum runs in scene order, so a scene's
-cube is bitwise the sum of its targets' cubes. Noise is then added in place,
-sigma*a to the real and sigma*b to the imaginary part, from two
-``standard_normal`` draws (a first); this gives the same values as adding
-sigma * (a + 1j*b) without the complex temporaries.
+This is the (N*M x T) . (T x V) matrix product of the range-Doppler phasors
+r_t[n]*d_t[m] and the steering phasors s_t[v], built from 3*T short 1-D
+exponentials instead of T complex exponentials over the whole N x M x V grid.
+``synth_frame`` evaluates it one antenna column at a time, with the sum over
+targets in scene order, so a scene's cube is bitwise the sum of its targets'
+cubes. Noise is then added in place, sigma*a to the real and sigma*b to the
+imaginary part, from two ``standard_normal`` draws (a first); this gives the
+same values as adding sigma * (a + 1j*b) without the complex temporaries.
 """
 
 from __future__ import annotations
@@ -136,6 +136,21 @@ def _array_angles(t: Target, radar_id: str) -> tuple[float, float]:
     raise SimError(f"bad radar_id {radar_id!r}")
 
 
+def scene_warnings(scene: SceneSpec, config: RadarConfig) -> list[str]:
+    """Targets whose beat or Doppler frequency aliases under ``config``.
+
+    They depend on neither the radar nor the frame, so a capture needs them once.
+    """
+    warnings = []
+    t_c = _slow_time_step(config)
+    for idx, tgt in enumerate(scene.targets):
+        if _beat_freq(tgt, config) >= config.sample_rate:
+            warnings.append(f"target {idx}: beat frequency aliases (range too large)")
+        if abs(_doppler_freq(tgt, config) * t_c) >= 0.5:
+            warnings.append(f"target {idx}: Doppler aliases (velocity too large)")
+    return warnings
+
+
 def synth_frame(
     scene: SceneSpec,
     config: RadarConfig,
@@ -152,16 +167,11 @@ def synth_frame(
     n = np.arange(n_count)
     m = np.arange(m_count)
     p, q = np.divmod(np.arange(v_count), q_count)
-    warnings = []
     t_c = _slow_time_step(config)
     range_doppler, steering = [], []
-    for idx, tgt in enumerate(scene.targets):
+    for tgt in scene.targets:
         f_b = _beat_freq(tgt, config)
         f_d = _doppler_freq(tgt, config)
-        if f_b >= config.sample_rate:
-            warnings.append(f"target {idx}: beat frequency aliases (range too large)")
-        if abs(f_d * t_c) >= 0.5:
-            warnings.append(f"target {idx}: Doppler aliases (velocity too large)")
         a1, a2 = _array_angles(tgt, radar_id)
         r = tgt.rcs_amplitude * np.exp(2j * np.pi * (f_b * n / config.sample_rate))
         d = np.exp(2j * np.pi * (f_d * t_c * m))
@@ -186,9 +196,7 @@ def synth_frame(
         sigma = math.sqrt(noise_power / 2.0)
         data.real += sigma * rng.standard_normal(data.shape)
         data.imag += sigma * rng.standard_normal(data.shape)
-    return RadarCube(
-        data=data, frame_index=frame_index, radar_id=radar_id, warnings=tuple(warnings)
-    )
+    return RadarCube(data=data, frame_index=frame_index, radar_id=radar_id)
 
 
 def expected_bins(

@@ -462,6 +462,18 @@ def test_simulate_failing_frame_leaves_no_capture(tmp_path, cfg_file, monkeypatc
     assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+def test_simulate_prints_each_alias_warning_once_per_run(tmp_path, capsys):
+    cfg = tmp_path / "radar.cfg"
+    cfg.write_text(CONFIG.replace("num_tx = 2", "num_tx = 1").replace("num_rx = 2", "num_rx = 4"))
+    scene = write_scene(tmp_path, targets=[{"range": 100.0}])
+    assert main([
+        "simulate", scene, "--config", str(cfg), "--output", str(tmp_path / "cap.bin"),
+        "--radar", "both", "--frames", "4",
+    ]) == EXIT_OK
+    lines = capsys.readouterr().err.splitlines()
+    assert sum("beat frequency aliases" in line for line in lines) == 1
+
+
 def test_simulate_zero_frames_exits_4(tmp_path, cfg_file):
     scene = write_scene(tmp_path)
     assert main([

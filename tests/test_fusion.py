@@ -6,7 +6,6 @@ from hypothesis.extra.numpy import arrays
 
 from radarpose.fusion import (
     DEFAULT_NUM_FRAMES,
-    FUSED,
     FeatureTensor,
     FusionError,
     fuse_add,
@@ -17,8 +16,8 @@ finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinit
 small_tensors = arrays(np.float64, (3, 4, 4), elements=finite)
 
 
-def ft(values, layer=1, source="fft-branch"):
-    return FeatureTensor(values=np.asarray(values, dtype=float), layer_id=layer, source=source)
+def ft(values, layer=1):
+    return FeatureTensor(values=np.asarray(values, dtype=float), layer_id=layer)
 
 
 def test_stack_singleton():
@@ -51,18 +50,11 @@ def test_stack_rejects_shape_mismatch():
         stack_frames([ft(np.zeros((2, 2))), ft(np.zeros((2, 3)))], count=2)
 
 
-def test_stack_rejects_nonincreasing_indices():
-    frames = [ft(np.zeros((2, 2)))] * 2
-    with pytest.raises(FusionError, match="increasing"):
-        stack_frames(frames, count=2, frame_indices=[5, 5])
-
-
 def test_fuse_zero_identity(rng):
     a = ft(rng.standard_normal((3, 4, 4)))
-    z = ft(np.zeros((3, 4, 4)), source="prob-encoding-branch")
+    z = ft(np.zeros((3, 4, 4)))
     out = fuse_add(a, z)
     np.testing.assert_array_equal(out.values, a.values)
-    assert out.source == FUSED
 
 
 @settings(max_examples=30, deadline=None)

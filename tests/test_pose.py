@@ -13,7 +13,6 @@ from radarpose.pose import (
     PoseError,
     ap_summary,
     bce_loss,
-    gaussian_heatmap,
     load_keypoint_frames,
     oks,
 )
@@ -25,42 +24,6 @@ def make_kp(xy=None, vis=None, area=100.0):
     if vis is None:
         vis = np.ones(NUM_JOINTS, dtype=int)
     return KeypointSet(xy=np.asarray(xy, dtype=float), visibility=np.asarray(vis), area=area)
-
-
-# ---------------------------------------------------------------- heatmaps
-
-def test_heatmap_peak_is_one_at_pixel_center():
-    kp = make_kp(xy=np.full((NUM_JOINTS, 2), 5.0))
-    h = gaussian_heatmap(kp, (16, 16), sigma_px=2.0)
-    assert h.shape == (NUM_JOINTS, 16, 16)
-    assert np.all(h[:, 5, 5] == 1.0)
-
-
-def test_heatmap_invisible_joint_zero_channel():
-    vis = np.ones(NUM_JOINTS, dtype=int)
-    vis[3] = 0
-    h = gaussian_heatmap(make_kp(vis=vis), (32, 32))
-    assert not h[3].any()
-    assert h[0].any()
-
-
-def test_heatmap_one_pixel_falloff():
-    xy = np.full((NUM_JOINTS, 2), 8.0)
-    h = gaussian_heatmap(make_kp(xy=xy), (16, 16), sigma_px=2.0)
-    assert h[0, 8, 9] == pytest.approx(np.exp(-1.0 / 8.0))
-    assert h[0, 9, 8] == pytest.approx(np.exp(-1.0 / 8.0))
-
-
-def test_heatmap_out_of_bounds_visible_joint():
-    xy = np.full((NUM_JOINTS, 2), 5.0)
-    xy[2] = (40.0, 5.0)
-    with pytest.raises(PoseError, match="outside"):
-        gaussian_heatmap(make_kp(xy=xy), (16, 16))
-
-
-def test_heatmap_values_in_unit_interval():
-    h = gaussian_heatmap(make_kp(), (32, 32), sigma_px=3.0)
-    assert h.min() >= 0.0 and h.max() <= 1.0
 
 
 # ---------------------------------------------------------------- bce

@@ -10,43 +10,24 @@ from radarpose.probmap import (
     ProbMapError,
     RangeAngleVector,
     angle_spectrum,
-    average_doppler,
     encode_map,
     normalize,
     positional_encoding,
     probability_map,
 )
 from radarpose.sim import SceneSpec, Target, expected_bins, synth_frame
-from radarpose.spectral import magnitude_map, next_pow2, range_doppler_map
+from radarpose.spectral import average_elevation, magnitude_map, next_pow2, range_doppler_map
 
 
-def vec(values, kind="azimuth", bins=None, normalized=False, empty=None):
+def vec(values, kind="azimuth", bins=None, empty=None):
     values = np.asarray(values, dtype=float)
     bins = RangeBinSet(bins=tuple(bins) if bins is not None else tuple(range(values.shape[0])))
     return RangeAngleVector(
         values=values,
         bins=bins,
         angle_kind=kind,
-        normalized=normalized,
         empty_rows=tuple(empty) if empty else tuple([False] * values.shape[0]),
     )
-
-
-# ---------------------------------------------------------------- average_doppler
-
-def test_average_doppler_single_bin_identity(rng):
-    x = rng.random((3, 1, 5))
-    np.testing.assert_allclose(average_doppler(x), x[:, 0, :])
-
-
-def test_average_doppler_constant(rng):
-    x = np.full((2, 6, 4), 3.5)
-    np.testing.assert_allclose(average_doppler(x), 3.5)
-
-
-def test_average_doppler_matches_loop(rng):
-    x = rng.standard_normal((3, 4, 5)) + 1j * rng.standard_normal((3, 4, 5))
-    np.testing.assert_allclose(average_doppler(x), mean_axis1_loops(x), atol=1e-12)
 
 
 # ---------------------------------------------------------------- normalize
@@ -54,7 +35,7 @@ def test_average_doppler_matches_loop(rng):
 def test_normalize_direct_arithmetic():
     out = normalize(vec([[2.0, 2.0, 4.0]]))
     np.testing.assert_allclose(out.values, [[0.25, 0.25, 0.5]])
-    assert out.normalized and out.empty_rows == (False,)
+    assert out.empty_rows == (False,)
 
 
 def test_normalize_one_hot_unchanged():
@@ -116,10 +97,10 @@ def test_bilinearity():
     a2 = normalize(vec([[2.0, 2.0]])).values
     el = normalize(vec([[1.0, 1.0, 2.0]], kind="elevation"))
     lam = 0.3
-    mix = vec(lam * a1 + (1 - lam) * a2, normalized=True)
+    mix = vec(lam * a1 + (1 - lam) * a2)
     p_mix = probability_map(mix, el).values
-    p1 = probability_map(vec(a1, normalized=True), el).values
-    p2 = probability_map(vec(a2, normalized=True), el).values
+    p1 = probability_map(vec(a1), el).values
+    p2 = probability_map(vec(a2), el).values
     np.testing.assert_allclose(p_mix, lam * p1 + (1 - lam) * p2, atol=1e-12)
 
 
@@ -139,6 +120,12 @@ def test_requires_normalized_and_matching_kinds(rng):
     el = normalize(vec(rng.random((2, 3)), kind="elevation"))
     with pytest.raises(ProbMapError, match="normalized"):
         probability_map(raw, el)
+    with pytest.raises(ProbMapError, match="normalized"):
+        probability_map(vec([[0.5, 0.5 + 1e-8], [1.0, 0.0]]), el)
+    with pytest.raises(ProbMapError, match="normalized"):
+        probability_map(vec([[0.0, 0.0], [1.0, 0.0]]), el)  # zero row not flagged empty
+    p = probability_map(vec([[0.0, 0.0], [1.0, 0.0]], empty=[True, False]), el)
+    assert p.empty_rows == (True, False)
     with pytest.raises(ProbMapError, match="azimuth"):
         probability_map(el, el)
 
@@ -206,7 +193,7 @@ def test_encode_zero_map_equals_pe_stack():
     pe = positional_encoding(4, 3, depth=8)
     enc = encode_map(p, pe)
     for r in range(2):
-        np.testing.assert_array_equal(enc.values[r], pe.channels)
+        np.testing.assert_array_equal(enc[r], pe.channels)
 
 
 def test_encode_zero_pe_broadcasts_probability(rng):
@@ -215,14 +202,14 @@ def test_encode_zero_pe_broadcasts_probability(rng):
     zero_pe = type(pe)(channels=np.zeros_like(pe.channels), depth=pe.depth)
     enc = encode_map(p, zero_pe)
     for c in range(16):
-        np.testing.assert_array_equal(enc.values[:, c], p.values)
+        np.testing.assert_array_equal(enc[:, c], p.values)
 
 
 def test_encode_matches_loop_oracle(rng):
     p = make_prob(rng)
     pe = positional_encoding(4, 3, depth=8)
     enc = encode_map(p, pe)
-    np.testing.assert_allclose(enc.values, broadcast_add_loops(p.values, pe.channels), atol=1e-12)
+    np.testing.assert_allclose(enc, broadcast_add_loops(p.values, pe.channels), atol=1e-12)
 
 
 def test_encode_size_mismatch(rng):
@@ -251,6 +238,17 @@ def test_zero_cube_rows_flagged_empty(sim_config):
     v = angle_spectrum(cube, sim_config, RangeBinSet(bins=(2, 3)), "azimuth")
     assert not v.values.any()
     assert v.empty_rows == (True, True)
+
+
+def test_angle_spectrum_is_doppler_mean_of_fft_magnitudes(sim_config, rng):
+    shape = (64, 16, 8)
+    data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    cube = RadarCube(data=data, frame_index=0, radar_id="horizontal")
+    bins = RangeBinSet(bins=(1, 5, 9))
+    v = angle_spectrum(cube, sim_config, bins, "azimuth", angle_fft=16)
+    sub = average_elevation(range_doppler_map(cube), sim_config).data[list(bins)]
+    want = mean_axis1_loops(np.fft.fft(sub, n=16, axis=2))
+    np.testing.assert_allclose(v.values, want, atol=1e-12)
 
 
 def test_empty_bin_set_is_valid(sim_config):
