@@ -3,11 +3,13 @@
 Threshold per cell: T = alpha * mean of the reference ring, where the ring
 is the square annulus outside the guard region around the cell under test.
 At map borders the ring is truncated and both the reference count and alpha
-are recomputed per cell, so calibration holds at the edges too.
+are recomputed per cell, so calibration holds at the edges too. Both depend
+only on the map shape and the parameters, so they are built once per shape.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,25 +81,43 @@ def _summed_area(arr: np.ndarray) -> np.ndarray:
     return c
 
 
-def _box_sum(c: np.ndarray, half: int) -> np.ndarray:
-    """Sum over the (2*half+1)^2 window centered at each cell, clipped at edges,
-    from the map's ``_summed_area`` table ``c``."""
-    rows, cols = c.shape[0] - 1, c.shape[1] - 1
-    r0 = np.clip(np.arange(rows) - half, 0, rows)
-    r1 = np.clip(np.arange(rows) + half + 1, 0, rows)
-    c0 = np.clip(np.arange(cols) - half, 0, cols)
-    c1 = np.clip(np.arange(cols) + half + 1, 0, cols)
-    return c[np.ix_(r1, c1)] - c[np.ix_(r0, c1)] - c[np.ix_(r1, c0)] + c[np.ix_(r0, c0)]
+def _window(rows: int, cols: int, half: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices into a map's ``_summed_area`` table of the corners
+    (r1, c1), (r0, c1), (r1, c0), (r0, c0) of each cell's (2*half+1)^2
+    window clipped at the edges, shape (4, rows*cols), and the window's cell
+    count, shape (rows, cols)."""
+    r, c = np.arange(rows), np.arange(cols)
+    r0, r1 = np.clip(r - half, 0, rows), np.clip(r + half + 1, 0, rows)
+    c0, c1 = np.clip(c - half, 0, cols), np.clip(c + half + 1, 0, cols)
+    corners = np.stack([
+        (ri[:, None] * (cols + 1) + ci[None, :]).ravel()
+        for ri, ci in ((r1, c1), (r0, c1), (r1, c0), (r0, c0))
+    ])
+    return corners, np.outer(r1 - r0, c1 - c0)
 
 
-def _box_count(rows: int, cols: int, half: int) -> np.ndarray:
-    r_extent = np.minimum(np.arange(rows) + half + 1, rows) - np.maximum(
-        np.arange(rows) - half, 0
-    )
-    c_extent = np.minimum(np.arange(cols) + half + 1, cols) - np.maximum(
-        np.arange(cols) - half, 0
-    )
-    return np.outer(r_extent, c_extent).astype(np.float64)
+@functools.lru_cache(maxsize=8)
+def _ring_plan(rows: int, cols: int, params: CfarParams):
+    """The shape-only part of ``detect_2d``, built once per map shape and params.
+
+    Returns the flat indices of the cells with at least one reference cell,
+    their alpha and reference count n_ref, and the (8, cells) table corners
+    of their outer window then their guard window. The arrays are shared
+    between calls, so they are read-only.
+    """
+    outer, outer_count = _window(rows, cols, params.guard + params.reference)
+    inner, inner_count = _window(rows, cols, params.guard)
+    n_ref = (outer_count - inner_count).astype(np.float64).ravel()
+    cells = np.flatnonzero(n_ref > 0)
+    if cells.size == 0:
+        raise CfarError(
+            f"map of shape {(rows, cols)} leaves no reference cell at any position"
+        )
+    n_ref = n_ref[cells]
+    plan = (cells, cfar_alpha(params, n_ref), n_ref, np.concatenate([outer, inner])[:, cells])
+    for arr in plan:
+        arr.flags.writeable = False
+    return plan
 
 
 def detect_2d(mag_map: np.ndarray, params: CfarParams) -> DetectionMask:
@@ -107,19 +127,13 @@ def detect_2d(mag_map: np.ndarray, params: CfarParams) -> DetectionMask:
         raise CfarError(f"expected a 2-D map, got shape {mag_map.shape}")
     if np.any(mag_map < 0):
         raise CfarError("magnitude map must be nonnegative")
-    rows, cols = mag_map.shape
-    outer = params.guard + params.reference
-    table = _summed_area(mag_map)
-    ring_sum = _box_sum(table, outer) - _box_sum(table, params.guard)
-    n_ref = _box_count(rows, cols, outer) - _box_count(rows, cols, params.guard)
-    if not np.any(n_ref > 0):
-        raise CfarError(
-            f"map of shape {mag_map.shape} leaves no reference cell at any position"
-        )
-    valid = n_ref > 0
+    cells, alpha, n_ref, corners = _ring_plan(*mag_map.shape, params)
+    t = _summed_area(mag_map).ravel()[corners]
+    # each window sum as ((r1c1 - r0c1) - r1c0) + r0c0, then alpha * ring / n_ref:
+    # another order changes the thresholds in their last bits
+    ring_sum = (t[0] - t[1] - t[2] + t[3]) - (t[4] - t[5] - t[6] + t[7])
     thresholds = np.full(mag_map.shape, np.inf)
-    alpha = cfar_alpha(params, n_ref[valid])
-    thresholds[valid] = alpha * ring_sum[valid] / n_ref[valid]
+    thresholds.ravel()[cells] = alpha * ring_sum / n_ref
     return DetectionMask(mask=mag_map > thresholds, thresholds=thresholds)
 
 

@@ -139,6 +139,50 @@ def cmd_heatmap(args) -> int:
     return EXIT_OK
 
 
+def _probmap_frame(ch, cv, config, params, angle_fft, pe, args) -> list[tuple[str, object]]:
+    """One frame pair's probmap outputs as (path, array or sidecar text) pairs."""
+    rd_h = spectral.range_doppler_map(ch)
+    rd_v = spectral.range_doppler_map(cv)
+    bins_h = cfar.select_range_bins(cfar.detect_2d(spectral.magnitude_map(rd_h), params))
+    bins_v = cfar.select_range_bins(cfar.detect_2d(spectral.magnitude_map(rd_v), params))
+    v_ra = probmap.normalize(
+        probmap.angle_spectrum(rd_h, config, bins_h, "azimuth", angle_fft=angle_fft)
+    )
+    v_re = probmap.normalize(
+        probmap.angle_spectrum(rd_v, config, bins_v, "elevation", angle_fft=angle_fft)
+    )
+    pmap = probmap.probability_map(v_ra, v_re)
+    encoded = probmap.encode_map(pmap, pe)
+    sidecar = json.dumps(
+        {
+            "frame": ch.frame_index,
+            "range_bins": list(pmap.range_bins),
+            "empty_rows": list(pmap.empty_rows),
+            "axes": {"azimuth": angle_fft, "elevation": angle_fft},
+            "pe_depth": args.pe_depth,
+        },
+        indent=2,
+        sort_keys=True,
+    ) + "\n"
+    prefix, tag = args.output, f"f{ch.frame_index:04d}"
+    return [
+        (f"{prefix}.prob.{tag}.tensor", pmap.values),
+        (f"{prefix}.enc.{tag}.tensor", encoded),
+        (f"{prefix}.bins.{tag}.json", sidecar),
+    ]
+
+
+def _write_files(files: list[tuple[str, object]]) -> None:
+    """Write (path, array or text) pairs in order, stopping at the first
+    error. Runs on probmap's writer thread, so it only opens, writes and
+    closes files: every array it is handed was built on the main thread."""
+    for path, content in files:
+        if isinstance(content, str):
+            Path(path).write_text(content)
+        else:
+            tensorio.write_tensor(path, content)
+
+
 def cmd_probmap(args) -> int:
     config = load_config(args.config)
     count_h, cubes_h = _load_cubes(args.adc_h, config, "horizontal")
@@ -150,41 +194,28 @@ def cmd_probmap(args) -> int:
     params = cfar.CfarParams(guard=args.cfar_guard, reference=args.cfar_ref, pfa=args.pfa)
     angle_fft = args.angle_fft or spectral.next_pow2(config.array_shape[0])
     pe = probmap.positional_encoding(angle_fft, angle_fft, args.pe_depth)
+    # imported here: concurrent.futures pulls in logging, about 10 ms of
+    # start-up that no other command needs
+    from concurrent.futures import ThreadPoolExecutor
+
     outputs = []
-    for ch, cv in zip(cubes_h, cubes_v):
-        rd_h = spectral.range_doppler_map(ch)
-        rd_v = spectral.range_doppler_map(cv)
-        bins_h = cfar.select_range_bins(cfar.detect_2d(spectral.magnitude_map(rd_h), params))
-        bins_v = cfar.select_range_bins(cfar.detect_2d(spectral.magnitude_map(rd_v), params))
-        v_ra = probmap.normalize(
-            probmap.angle_spectrum(rd_h, config, bins_h, "azimuth", angle_fft=angle_fft)
-        )
-        v_re = probmap.normalize(
-            probmap.angle_spectrum(rd_v, config, bins_v, "elevation", angle_fft=angle_fft)
-        )
-        pmap = probmap.probability_map(v_ra, v_re)
-        encoded = probmap.encode_map(pmap, pe)
-        tag = f"f{ch.frame_index:04d}"
-        prob_path = f"{args.output}.prob.{tag}.tensor"
-        enc_path = f"{args.output}.enc.{tag}.tensor"
-        side_path = f"{args.output}.bins.{tag}.json"
-        tensorio.write_tensor(prob_path, pmap.values)
-        tensorio.write_tensor(enc_path, encoded)
-        Path(side_path).write_text(
-            json.dumps(
-                {
-                    "frame": ch.frame_index,
-                    "range_bins": list(pmap.range_bins),
-                    "empty_rows": list(pmap.empty_rows),
-                    "axes": {"azimuth": angle_fft, "elevation": angle_fft},
-                    "pe_depth": args.pe_depth,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n"
-        )
-        outputs += [prob_path, enc_path, side_path]
+    # One writer thread, one frame behind: frame k's files are written while
+    # frame k+1 is computed. Frame k's write is waited on before frame k+1's
+    # is submitted and before any error of frame k+1 escapes, so the exit
+    # code and the files on disk are those of writing each frame in turn.
+    with ThreadPoolExecutor(max_workers=1) as writer:
+        pending = None
+        try:
+            for ch, cv in zip(cubes_h, cubes_v):
+                files = _probmap_frame(ch, cv, config, params, angle_fft, pe, args)
+                if pending is not None:
+                    previous, pending = pending, None  # so finally does not wait on it twice
+                    previous.result()
+                pending = writer.submit(_write_files, files)
+                outputs += [path for path, _ in files]
+        finally:
+            if pending is not None:
+                pending.result()
     write_manifest(
         _manifest_path(args.output),
         command="probmap",

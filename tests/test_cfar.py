@@ -118,9 +118,30 @@ def test_mask_consistent_with_emitted_thresholds(rng):
 
 
 def test_map_without_any_reference_cell():
-    # 3x3 map fully inside the guard region of every cell
-    with pytest.raises(CfarError, match="reference"):
-        detect_2d(np.ones((3, 3)), CfarParams(guard=5, reference=16, pfa=1e-2))
+    # 3x3 map fully inside the guard region of every cell; the shape-only
+    # plan is cached, so the second call must raise too
+    for _ in range(2):
+        with pytest.raises(CfarError, match="reference"):
+            detect_2d(np.ones((3, 3)), CfarParams(guard=5, reference=16, pfa=1e-2))
+
+
+def test_calls_on_one_shape_return_independent_writable_arrays(rng):
+    params = CfarParams(guard=1, reference=2, pfa=1e-2)
+    first = detect_2d(rng.exponential(size=(12, 9)), params)
+    second = detect_2d(rng.exponential(size=(12, 9)), params)
+    for a, b in ((first.mask, second.mask), (first.thresholds, second.thresholds)):
+        assert a.flags.writeable and b.flags.writeable
+        assert not np.shares_memory(a, b)
+    kept = second.thresholds.copy()
+    first.thresholds[:] = -1.0
+    first.mask[:] = True
+    np.testing.assert_array_equal(second.thresholds, kept)
+    # a third call on the same shape is not affected by the writes either
+    mag = rng.exponential(size=(12, 9))
+    oracle_mask, oracle_thr = cfar_loops(mag, guard=1, reference=2, pfa=1e-2)
+    det = detect_2d(mag, params)
+    np.testing.assert_array_equal(det.mask, oracle_mask)
+    np.testing.assert_allclose(det.thresholds, oracle_thr, rtol=1e-10)
 
 
 def test_negative_map_rejected():

@@ -1,12 +1,14 @@
 import json
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from radarpose import adc, probmap, sim, spectral
+from radarpose import adc, probmap, sim, spectral, tensorio
 from radarpose.cli import EXIT_CONTRACT, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from radarpose.config import load_config
 from radarpose.manifest import sha256_file
@@ -204,7 +206,7 @@ def test_probmap_single_target_unit_sum(tmp_path, cfg_file):
     )
     assert code == EXIT_OK
     prob = read_tensor(f"{prefix}.prob.f0000.tensor")
-    side = json.loads(open(f"{prefix}.bins.f0000.json").read())
+    side = json.loads(Path(f"{prefix}.bins.f0000.json").read_text())
     assert prob.shape[1:] == (4, 4)
     assert len(side["range_bins"]) == prob.shape[0] > 0
     for r, empty in enumerate(side["empty_rows"]):
@@ -217,7 +219,7 @@ def test_probmap_single_target_unit_sum(tmp_path, cfg_file):
 def test_probmap_zero_input_empty_bins(tmp_path, cfg_file):
     code, prefix = run_probmap(tmp_path, cfg_file, [], snr=None)
     assert code == EXIT_OK
-    side = json.loads(open(f"{prefix}.bins.f0000.json").read())
+    side = json.loads(Path(f"{prefix}.bins.f0000.json").read_text())
     assert side["range_bins"] == []
     assert read_tensor(f"{prefix}.prob.f0000.tensor").shape == (0, 4, 4)
 
@@ -253,7 +255,94 @@ def test_probmap_computes_one_rd_map_per_cube(tmp_path, cfg_file, monkeypatch):
     tags = sorted(p.name.split(".")[-2] for p in tmp_path.glob("out.prob.*.tensor"))
     assert tags == ["f0000", "f0001", "f0002"]
     for i, tag in enumerate(tags):
-        assert json.loads(open(f"{prefix}.bins.{tag}.json").read())["frame"] == i
+        assert json.loads(Path(f"{prefix}.bins.{tag}.json").read_text())["frame"] == i
+
+
+def fail_writes_of(monkeypatch, tag):
+    """Make tensorio.write_tensor raise FileNotFoundError for frame ``tag``."""
+    original = tensorio.write_tensor
+
+    def failing(path, data):
+        if f".{tag}." in str(path):
+            raise FileNotFoundError(f"no room for {path}")
+        original(path, data)
+
+    monkeypatch.setattr(tensorio, "write_tensor", failing)
+
+
+def fail_encode_at(monkeypatch, frame):
+    """Make probmap.encode_map raise ProbMapError on its call for ``frame``."""
+    original = probmap.encode_map
+    calls = []
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) == frame + 1:
+            raise probmap.ProbMapError(f"frame {frame} cannot be encoded")
+        return original(*args)
+
+    monkeypatch.setattr(probmap, "encode_map", failing)
+
+
+def test_probmap_failed_write_stops_at_that_frame(tmp_path, cfg_file, monkeypatch):
+    fail_writes_of(monkeypatch, "f0001")
+    code, _ = run_probmap(tmp_path, cfg_file, [{"range": 6.0}], frames=4)
+    assert code == EXIT_DATA
+    assert sorted(outputs_written(tmp_path, "out")) == [
+        "out.bins.f0000.json", "out.enc.f0000.tensor", "out.prob.f0000.tensor",
+    ]
+
+
+def test_probmap_write_error_wins_over_a_later_frame_error(tmp_path, cfg_file, monkeypatch):
+    # the write of frame 1 overlaps the compute of frame 2; written in turn,
+    # frame 1's write fails first, so its data error is the one reported
+    fail_writes_of(monkeypatch, "f0001")
+    fail_encode_at(monkeypatch, 2)
+    code, _ = run_probmap(tmp_path, cfg_file, [{"range": 6.0}], frames=4)
+    assert code == EXIT_DATA
+    assert sorted(outputs_written(tmp_path, "out")) == [
+        "out.bins.f0000.json", "out.enc.f0000.tensor", "out.prob.f0000.tensor",
+    ]
+
+
+def test_probmap_compute_error_after_good_writes_keeps_them(tmp_path, cfg_file, monkeypatch):
+    fail_encode_at(monkeypatch, 2)
+    code, _ = run_probmap(tmp_path, cfg_file, [{"range": 6.0}], frames=4)
+    assert code == EXIT_CONTRACT
+    assert sorted(outputs_written(tmp_path, "out")) == sorted(
+        f"out.{kind}.f000{i}.{ext}"
+        for i in (0, 1)
+        for kind, ext in (("bins", "json"), ("enc", "tensor"), ("prob", "tensor"))
+    )
+
+
+def test_probmap_output_in_missing_directory_exits_3(tmp_path, cfg_file):
+    scene = write_scene(tmp_path, targets=[{"range": 6.0}])
+    assert main(["simulate", scene, "--config", cfg_file, "--output", str(tmp_path / "cap.bin"),
+                 "--radar", "both", "--frames", "2"]) == EXIT_OK
+    assert main([
+        "probmap", str(tmp_path / "cap.h.bin"), str(tmp_path / "cap.v.bin"),
+        "--config", cfg_file, "--output", str(tmp_path / "missing" / "pm"),
+    ]) == EXIT_DATA
+    assert not (tmp_path / "missing").exists()
+
+
+def test_probmap_uses_one_writer_thread_and_leaves_none(tmp_path, cfg_file, monkeypatch):
+    writers, counts = set(), set()
+    original = tensorio.write_tensor
+
+    def recording(path, data):
+        writers.add(threading.get_ident())
+        counts.add(threading.active_count())
+        original(path, data)
+
+    monkeypatch.setattr(tensorio, "write_tensor", recording)
+    before = threading.active_count()
+    code, _ = run_probmap(tmp_path, cfg_file, [{"range": 6.0}], frames=3)
+    assert code == EXIT_OK
+    assert len(writers) == 1 and threading.get_ident() not in writers
+    assert counts == {before + 1}
+    assert threading.active_count() == before
 
 
 # 64x16x8 cubes: one frame is 32 KiB of int16 and 128 KiB of complex128
