@@ -31,11 +31,19 @@ class AdcError(ValueError):
 
 
 class TruncatedCaptureError(AdcError):
-    def __init__(self, expected: int, actual: int):
-        super().__init__(
-            f"truncated capture: length {actual} bytes is not a whole multiple "
-            f"of the {expected}-byte frame size"
-        )
+    """A capture that is not a whole number of frames: ``actual`` bytes where
+    whole ``expected``-byte frames were due. ``path`` names the capture, and
+    ``frame`` the frame a read came up short on after the length check."""
+
+    def __init__(self, expected: int, actual: int, path: str | None = None,
+                 frame: int | None = None):
+        if frame is None:
+            what = (f"length {actual} bytes is not a whole multiple "
+                    f"of the {expected}-byte frame size")
+        else:
+            what = (f"frame {frame} has {actual} of its {expected} bytes; "
+                    f"the capture shrank during the run")
+        super().__init__(f"truncated capture{f' {path}' if path else ''}: {what}")
         self.expected = expected
         self.actual = actual
 

@@ -9,6 +9,7 @@ numeric/contract violation.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, adc, cfar, fusion, probmap, sim, spectral, tensorio
+from . import __version__, adc, cfar, fusion, manifest, probmap, sim, spectral, tensorio
 from .config import ConfigError, load_config
 from .manifest import write_manifest
 from .pose import (
@@ -49,16 +50,22 @@ def cmd_simulate(args) -> int:
     for w in sim.scene_warnings(scene, config):
         print(f"warning: {w}", file=sys.stderr)
     # frames stream into <output>.part files, renamed only once every frame
-    # of every radar is written, so a failing frame leaves no capture behind
+    # of every radar is written, so a failing frame leaves no capture behind;
+    # each capture's digest is taken from the frames as they are written
     parts = [f"{path}.part" for _, path in outputs]
+    digests = {}
     try:
-        for (radar_id, _), part in zip(outputs, parts):
+        for (radar_id, path), part in zip(outputs, parts):
+            digest = hashlib.sha256()
             with open(part, "wb") as fh:
                 for i in range(args.frames):
                     cube = sim.synth_frame(scene, config, radar_id=radar_id, frame_index=i)
                     # the cube's array is fresh and owned here: scale it in place
                     np.multiply(cube.data, args.scale, out=cube.data)
-                    fh.write(adc.serialize_cubes([cube], layout, config))
+                    frame = adc.serialize_cubes([cube], layout, config)
+                    fh.write(frame)
+                    digest.update(frame)
+            digests[path] = digest.hexdigest()
     except BaseException:
         for part in parts:
             Path(part).unlink(missing_ok=True)
@@ -73,6 +80,7 @@ def cmd_simulate(args) -> int:
         seed=scene.noise_seed,
         config_path=args.config,
         extra={"frames": args.frames, "scale": args.scale},
+        digests=digests,
     )
     return EXIT_OK
 
@@ -88,24 +96,33 @@ def _sim_outputs(args):
 
 
 def _load_cubes(path: str, config, radar_id: str) -> tuple[int, Iterator[adc.RadarCube]]:
-    """Frame count of a capture and an iterator that parses one frame per step.
+    """Frame count of a capture and an iterator that reads and parses one
+    frame per step.
 
-    The capture length is checked here, before any frame is parsed; only the
-    raw bytes and the current frame's cube are held.
+    The capture length is checked here, before any frame is read. The
+    iterator opens the file on its first step and reads each frame into one
+    reused buffer, so only the current frame's raw bytes and cube are held.
+    A capture that shrinks after the check raises at the first short frame.
     """
     layout = adc.AdcLayout()
     fsize = adc.frame_byte_size(layout, config)
-    view = memoryview(Path(path).read_bytes())
-    if len(view) == 0 or len(view) % fsize:
-        raise adc.TruncatedCaptureError(fsize, len(view))
-    num_frames = len(view) // fsize
+    size = os.stat(path).st_size
+    if size == 0 or size % fsize:
+        raise adc.TruncatedCaptureError(fsize, size, path)
+    num_frames = size // fsize
 
     def frames():
-        for i in range(num_frames):
-            (cube,) = adc.parse_cubes(
-                view[i * fsize:(i + 1) * fsize], layout, config, radar_id=radar_id
-            )
-            yield replace(cube, frame_index=i)
+        raw = bytearray(fsize)
+        # unbuffered: one read per frame, straight into ``raw``; a regular
+        # file reads short only at its end
+        with open(path, "rb", buffering=0) as fh:
+            for i in range(num_frames):
+                got = fh.readinto(raw)
+                if got != fsize:
+                    raise adc.TruncatedCaptureError(fsize, got, path, frame=i)
+                # parse_cubes copies into a fresh grid, so no cube aliases ``raw``
+                (cube,) = adc.parse_cubes(raw, layout, config, radar_id=radar_id)
+                yield replace(cube, frame_index=i)
 
     return num_frames, frames()
 
@@ -127,7 +144,8 @@ def cmd_heatmap(args) -> int:
         if maps is None:
             maps = np.empty((num_frames,) + frame.shape, dtype=frame.dtype)
         maps[i] = frame
-    tensorio.write_tensor(args.output, maps)
+    digest = tensorio.write_tensor(args.output, maps)
+    del maps  # the manifest hashes the capture next; the output need not stay in memory
     write_manifest(
         _manifest_path(args.output),
         command="heatmap",
@@ -135,12 +153,13 @@ def cmd_heatmap(args) -> int:
         outputs=[args.output],
         config_path=args.config,
         extra={"branch": args.branch},
+        digests={args.output: digest},
     )
     return EXIT_OK
 
 
 def _probmap_frame(ch, cv, config, params, angle_fft, pe, args) -> list[tuple[str, object]]:
-    """One frame pair's probmap outputs as (path, array or sidecar text) pairs."""
+    """One frame pair's probmap outputs as (path, array or sidecar bytes) pairs."""
     rd_h = spectral.range_doppler_map(ch)
     rd_v = spectral.range_doppler_map(cv)
     bins_h = cfar.select_range_bins(cfar.detect_2d(spectral.magnitude_map(rd_h), params))
@@ -153,7 +172,7 @@ def _probmap_frame(ch, cv, config, params, angle_fft, pe, args) -> list[tuple[st
     )
     pmap = probmap.probability_map(v_ra, v_re)
     encoded = probmap.encode_map(pmap, pe)
-    sidecar = json.dumps(
+    sidecar = (json.dumps(
         {
             "frame": ch.frame_index,
             "range_bins": list(pmap.range_bins),
@@ -163,7 +182,7 @@ def _probmap_frame(ch, cv, config, params, angle_fft, pe, args) -> list[tuple[st
         },
         indent=2,
         sort_keys=True,
-    ) + "\n"
+    ) + "\n").encode()
     prefix, tag = args.output, f"f{ch.frame_index:04d}"
     return [
         (f"{prefix}.prob.{tag}.tensor", pmap.values),
@@ -172,15 +191,19 @@ def _probmap_frame(ch, cv, config, params, angle_fft, pe, args) -> list[tuple[st
     ]
 
 
-def _write_files(files: list[tuple[str, object]]) -> None:
-    """Write (path, array or text) pairs in order, stopping at the first
-    error. Runs on probmap's writer thread, so it only opens, writes and
-    closes files: every array it is handed was built on the main thread."""
+def _write_files(files: list[tuple[str, object]]) -> dict[str, str]:
+    """Write (path, array or bytes) pairs in order, stopping at the first
+    error, and return each path's SHA-256 of the bytes written. Runs on
+    probmap's writer thread, so it only writes and hashes: every array it is
+    handed was built on the main thread."""
+    digests = {}
     for path, content in files:
-        if isinstance(content, str):
-            Path(path).write_text(content)
+        if isinstance(content, bytes):
+            Path(path).write_bytes(content)
+            digests[path] = hashlib.sha256(content).hexdigest()
         else:
-            tensorio.write_tensor(path, content)
+            digests[path] = tensorio.write_tensor(path, content)
+    return digests
 
 
 def cmd_probmap(args) -> int:
@@ -198,34 +221,39 @@ def cmd_probmap(args) -> int:
     # start-up that no other command needs
     from concurrent.futures import ThreadPoolExecutor
 
-    outputs = []
-    # One writer thread, one frame behind: frame k's files are written while
-    # frame k+1 is computed. Frame k's write is waited on before frame k+1's
-    # is submitted and before any error of frame k+1 escapes, so the exit
-    # code and the files on disk are those of writing each frame in turn.
+    inputs, outputs, digests = [args.adc_h, args.adc_v], [], {}
+    # One writer thread, one frame behind: frame k's files are written and
+    # hashed while frame k+1 is computed. Frame k's write is waited on before
+    # frame k+1's is submitted and before any error of frame k+1 escapes, so
+    # the exit code and the files on disk are those of writing each frame in
+    # turn. The thread's first job hashes the input captures; frame 0's write
+    # queues behind it.
     with ThreadPoolExecutor(max_workers=1) as writer:
+        inputs_hashed = writer.submit(lambda: {p: manifest.sha256_file(p) for p in inputs})
         pending = None
         try:
             for ch, cv in zip(cubes_h, cubes_v):
                 files = _probmap_frame(ch, cv, config, params, angle_fft, pe, args)
                 if pending is not None:
                     previous, pending = pending, None  # so finally does not wait on it twice
-                    previous.result()
+                    digests.update(previous.result())
                 pending = writer.submit(_write_files, files)
                 outputs += [path for path, _ in files]
         finally:
             if pending is not None:
-                pending.result()
+                digests.update(pending.result())
+        digests.update(inputs_hashed.result())
     write_manifest(
         _manifest_path(args.output),
         command="probmap",
-        inputs=[args.adc_h, args.adc_v],
+        inputs=inputs,
         outputs=outputs,
         config_path=args.config,
         extra={
             "cfar": {"guard": params.guard, "reference": params.reference, "pfa": params.pfa},
             "pe_depth": args.pe_depth,
         },
+        digests=digests,
     )
     return EXIT_OK
 

@@ -9,10 +9,13 @@ from pathlib import Path
 
 
 def sha256_file(path: str | Path) -> str:
+    """Hex SHA-256 of a file, read through one reused 1 MiB buffer."""
     h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
+    buf = bytearray(1 << 20)
+    view = memoryview(buf)
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buf):
+            h.update(view[:n])
     return h.hexdigest()
 
 
@@ -24,19 +27,27 @@ def write_manifest(
     seed: int | None = None,
     config_path: str | Path | None = None,
     extra: dict | None = None,
+    digests: dict[str, str] | None = None,
 ) -> dict:
     """Record command, content digests, seed and tool version for one run.
 
-    The manifest carries the wall-clock timestamp, so it is excluded from
-    byte-identity comparisons; the artifacts themselves are deterministic.
+    ``digests`` maps a path to the hex SHA-256 of the bytes the caller wrote
+    or read there; every other file is hashed from disk. The manifest carries the wall-clock timestamp, so it is
+    excluded from byte-identity comparisons; the artifacts themselves are
+    deterministic.
     """
     from . import __version__
+
+    known = digests or {}
+
+    def digest(p):
+        return known.get(str(p)) or sha256_file(p)
 
     doc = {
         "command": command,
         "config_sha256": sha256_file(config_path) if config_path else None,
-        "inputs": {str(p): sha256_file(p) for p in inputs},
-        "outputs": {str(p): sha256_file(p) for p in outputs},
+        "inputs": {str(p): digest(p) for p in inputs},
+        "outputs": {str(p): digest(p) for p in outputs},
         "seed": seed,
         "tool_version": __version__,
         "timestamp_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),

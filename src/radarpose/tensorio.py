@@ -7,6 +7,7 @@ as unsigned 64-bit little-endian, one element-tag byte (0 = real64,
 
 from __future__ import annotations
 
+import hashlib
 import math
 import struct
 from pathlib import Path
@@ -23,19 +24,24 @@ class TensorFormatError(ValueError):
     """Raised when a tensor file is malformed or truncated."""
 
 
-def write_tensor(path: str | Path, data: np.ndarray) -> None:
-    """Write an array as real64 or complex128 depending on its dtype."""
+def write_tensor(path: str | Path, data: np.ndarray) -> str:
+    """Write an array as real64 or complex128 depending on its dtype, and
+    return the hex SHA-256 of the bytes written."""
     data = np.asarray(data)
     if np.iscomplexobj(data):
         tag, payload = _TAG_COMPLEX128, np.ascontiguousarray(data, dtype="<c16")
     else:
         tag, payload = _TAG_REAL64, np.ascontiguousarray(data, dtype="<f8")
+    header = (
+        MAGIC + bytes([VERSION, data.ndim]) + struct.pack(f"<{data.ndim}Q", *data.shape)
+        + bytes([tag])
+    )
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(bytes([VERSION, data.ndim]))
-        fh.write(struct.pack(f"<{data.ndim}Q", *data.shape))
-        fh.write(bytes([tag]))
+        fh.write(header)
         fh.write(memoryview(payload))
+    digest = hashlib.sha256(header)
+    digest.update(payload)
+    return digest.hexdigest()
 
 
 def read_tensor(path: str | Path) -> np.ndarray:

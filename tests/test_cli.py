@@ -224,7 +224,7 @@ def test_probmap_zero_input_empty_bins(tmp_path, cfg_file):
     assert read_tensor(f"{prefix}.prob.f0000.tensor").shape == (0, 4, 4)
 
 
-def test_probmap_frame_count_mismatch_exits_3(tmp_path, cfg_file):
+def test_probmap_frame_count_mismatch_exits_3(tmp_path, cfg_file, capsys):
     scene = write_scene(tmp_path, targets=[{"range": 5.0}])
     main(["simulate", scene, "--config", cfg_file, "--output", str(tmp_path / "cap.bin"),
           "--radar", "both", "--frames", "2"])
@@ -237,6 +237,71 @@ def test_probmap_frame_count_mismatch_exits_3(tmp_path, cfg_file):
             "probmap", str(h), str(v), "--config", cfg_file, "--output", str(tmp_path / "o"),
         ]) == EXIT_DATA
         assert outputs_written(tmp_path) == []
+    assert f"truncated capture {v}: length" in capsys.readouterr().err
+
+
+def test_probmap_capture_that_shrinks_mid_run_exits_3(tmp_path, cfg_file, monkeypatch, capsys):
+    # frame 0 of both captures has been read when its map is encoded; cutting
+    # the vertical capture to 1.5 frames then leaves frame 1 short
+    original = probmap.encode_map
+    v = tmp_path / "cap.v.bin"
+
+    def shrinking(pmap, pe):
+        if v.stat().st_size > FRAME_BYTES:
+            with open(v, "r+b") as fh:
+                fh.truncate(FRAME_BYTES + FRAME_BYTES // 2)
+        return original(pmap, pe)
+
+    monkeypatch.setattr(probmap, "encode_map", shrinking)
+    code, _ = run_probmap(tmp_path, cfg_file, [{"range": 6.0}], frames=4)
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(v) in err and "frame 1 " in err
+    assert sorted(outputs_written(tmp_path, "out")) == [
+        "out.bins.f0000.json", "out.enc.f0000.tensor", "out.prob.f0000.tensor",
+    ]
+
+
+def assert_manifest_digests_are_the_files(manifest_path):
+    """Every digest a manifest records equals the SHA-256 of that file on disk."""
+    doc = json.loads(Path(manifest_path).read_text())
+    files = {**doc["inputs"], **doc["outputs"]}
+    assert files
+    for path, digest in files.items():
+        assert digest == sha256_file(path), path
+    assert doc["config_sha256"] is None or doc["config_sha256"] == sha256_file(
+        Path(manifest_path).parent / "radar.cfg"
+    )
+    return doc
+
+
+def simulate_both(tmp_path, cfg_file, frames=3):
+    scene = write_scene(tmp_path, targets=[{"range": 6.0, "azimuth": 0.2}], snr_db=20)
+    assert main(["simulate", scene, "--config", cfg_file, "--output", str(tmp_path / "cap.bin"),
+                 "--radar", "both", "--frames", str(frames)]) == EXIT_OK
+    return tmp_path / "cap.h.bin", tmp_path / "cap.v.bin"
+
+
+def test_simulate_manifest_digests_are_the_files_written(tmp_path, cfg_file):
+    h, v = simulate_both(tmp_path, cfg_file)
+    doc = assert_manifest_digests_are_the_files(tmp_path / "cap.bin.manifest.json")
+    assert sorted(doc["outputs"]) == sorted([str(h), str(v)])
+
+
+def test_heatmap_manifest_digests_are_the_files_written(tmp_path, cfg_file):
+    h, _ = simulate_both(tmp_path, cfg_file)
+    out = tmp_path / "maps.tensor"
+    assert main(["heatmap", str(h), "--config", cfg_file, "--output", str(out),
+                 "--doppler-keep", "4"]) == EXIT_OK
+    doc = assert_manifest_digests_are_the_files(tmp_path / "maps.tensor.manifest.json")
+    assert list(doc["inputs"]) == [str(h)] and list(doc["outputs"]) == [str(out)]
+
+
+def test_probmap_manifest_digests_are_the_files_written(tmp_path, cfg_file):
+    code, prefix = run_probmap(tmp_path, cfg_file, [{"range": 6.0, "azimuth": 0.3}], frames=3)
+    assert code == EXIT_OK
+    doc = assert_manifest_digests_are_the_files(f"{prefix}.manifest.json")
+    assert len(doc["inputs"]) == 2 and len(doc["outputs"]) == 9
 
 
 def test_probmap_computes_one_rd_map_per_cube(tmp_path, cfg_file, monkeypatch):
@@ -347,6 +412,8 @@ def test_probmap_uses_one_writer_thread_and_leaves_none(tmp_path, cfg_file, monk
 
 # 64x16x8 cubes: one frame is 32 KiB of int16 and 128 KiB of complex128
 CUBE_BYTES = 64 * 16 * 8 * 16
+# one frame of the 32x8x4 captures CONFIG describes, as int16 re/im pairs
+FRAME_BYTES = 32 * 8 * 4 * 4
 
 
 def simulate_64_frames(tmp_path):
@@ -380,27 +447,28 @@ def test_simulate_memory_is_bounded_by_a_few_frames(tmp_path):
     assert main(argv[:-1] + ["1"]) == EXIT_OK
     code, peak = traced_peak(argv)
     assert code == EXIT_OK
-    # one cube, its noise draws and int16 lanes, plus the manifest hashing the
-    # capture in 1 MiB chunks (two alive at once); holding the whole capture
-    # as cubes would take 2 x 64 cubes and their scaled copies
-    assert peak < 2 * (1 << 20) + 8 * CUBE_BYTES
+    # one cube, its noise draws and int16 lanes, plus the one reused 1 MiB
+    # buffer the manifest reads the scene and config through (the captures'
+    # digests come from the frames as written); holding the whole capture as
+    # cubes would take 2 x 64 cubes and their scaled copies
+    assert peak < (1 << 20) + 8 * CUBE_BYTES
 
 
-def test_heatmap_memory_is_bounded_by_capture_output_and_a_few_frames(tmp_path):
+def test_heatmap_memory_is_bounded_by_output_and_a_few_frames(tmp_path):
     cfg, argv = simulate_64_frames(tmp_path)
     assert main(argv) == EXIT_OK
-    capture_bytes = (tmp_path / "cap.h.bin").stat().st_size
     out = tmp_path / "maps.tensor"
     code, peak = traced_peak(["heatmap", str(tmp_path / "cap.h.bin"), "--config", str(cfg),
                               "--output", str(out), "--branch", "rd"])
     assert code == EXIT_OK
     output_bytes = 64 * CUBE_BYTES
     assert read_tensor(out).nbytes == output_bytes
-    # stacking a list of per-frame maps would add a second copy of the output
-    assert peak < capture_bytes + output_bytes + 8 * CUBE_BYTES
+    # stacking a list of per-frame maps would add a second copy of the output,
+    # and holding the capture 16 cubes' worth of int16
+    assert peak < output_bytes + 8 * CUBE_BYTES
 
 
-def test_probmap_memory_is_bounded_by_capture_plus_a_few_frames(tmp_path):
+def test_probmap_memory_is_bounded_by_a_few_frames(tmp_path):
     cfg, argv = simulate_64_frames(tmp_path)
     assert main(argv) == EXIT_OK
     capture_bytes = sum((tmp_path / f"cap.{r}.bin").stat().st_size for r in "hv")
@@ -411,8 +479,10 @@ def test_probmap_memory_is_bounded_by_capture_plus_a_few_frames(tmp_path):
     ])
     assert code == EXIT_OK
     # one frame pair, its RD maps, FFT temporaries and the previous pair come
-    # to about 9 cubes; parsing whole captures would add 2 x 64 cubes
-    assert peak < capture_bytes + 16 * CUBE_BYTES
+    # to about 9 cubes, alongside the writer thread's 1 MiB buffer hashing the
+    # captures; holding both captures would add 32 cubes of int16, and parsing
+    # them whole 2 x 64 cubes
+    assert peak < (1 << 20) + 12 * CUBE_BYTES
 
 
 def test_fuse_zero_identity_and_commutation(tmp_path, rng):
