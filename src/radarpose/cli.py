@@ -129,7 +129,7 @@ def _load_cubes(path: str, config, radar_id: str) -> tuple[int, Iterator[adc.Rad
 
 def cmd_heatmap(args) -> int:
     config = load_config(args.config)
-    num_frames, cubes = _load_cubes(args.adc, config, args.radar)
+    num_frames, cubes = _load_cubes(args.adc, config, adc.HORIZONTAL)
     fft_branch = args.branch == "fft"
     angle_fft = spectral.next_pow2(config.array_shape[0])
     maps = None
@@ -261,9 +261,7 @@ def cmd_probmap(args) -> int:
 def cmd_fuse(args) -> int:
     t1 = tensorio.read_tensor(args.tensor1)
     t2 = tensorio.read_tensor(args.tensor2)
-    f1 = fusion.FeatureTensor(values=t1, layer_id=args.layer)
-    f2 = fusion.FeatureTensor(values=t2, layer_id=args.layer)
-    fused = fusion.fuse_add(f1, f2)
+    fused = fusion.fuse_add(fusion.FeatureTensor(values=t1), fusion.FeatureTensor(values=t2))
     tensorio.write_tensor(args.output, fused.values)
     write_manifest(
         _manifest_path(args.output),
@@ -318,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--output", required=True, help="tensor output path")
     p.add_argument("--branch", choices=["fft", "rd"], default="fft")
-    p.add_argument("--radar", choices=["horizontal", "vertical"], default="horizontal")
     p.add_argument("--doppler-keep", type=int, default=0, help="0 disables Doppler sampling")
     p.add_argument("--doppler-window", type=float, default=0.5)
     p.set_defaults(func=cmd_heatmap)
@@ -339,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("tensor1")
     p.add_argument("tensor2")
     p.add_argument("--output", required=True)
-    p.add_argument("--layer", type=int, default=1)
     p.set_defaults(func=cmd_fuse)
 
     p = sub.add_parser("eval", help="OKS / AP metrics from keypoint JSON files")
@@ -363,7 +359,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (adc.AdcError, tensorio.TensorFormatError, PoseError, sim.SceneError,
-            json.JSONDecodeError, UnicodeDecodeError, FileNotFoundError) as exc:
+            json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (cfar.CfarError, probmap.ProbMapError, fusion.FusionError,

@@ -86,30 +86,42 @@ _REQUIRED = {
 }
 
 
-def parse_config_text(text: str) -> RadarConfig:
-    """Parse a ``key = value`` config document into a RadarConfig.
+def read_key_values(text: str, types: dict, error: type[Exception]) -> dict:
+    """Parse a ``key = value`` document into {key: types[key](value)}.
 
-    Blank lines and lines starting with '#' are ignored. Unknown keys and
-    missing required keys are errors.
+    Blank lines and lines starting with '#' are skipped. A line without
+    '=', a key not in ``types``, a repeated key and a value its type rejects
+    raise ``error`` with a ``line N:`` prefix.
     """
-    known = {f.name for f in dataclasses.fields(RadarConfig)}
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
+            raise error(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in known:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key not in types:
+            raise error(f"line {lineno}: unknown key {key!r}")
         if key in values:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+            raise error(f"line {lineno}: duplicate key {key!r}")
         try:
-            values[key] = int(val) if key in _INT_FIELDS else float(val)
+            values[key] = types[key](val)
         except ValueError as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key!r}: {val!r}") from exc
+            raise error(f"line {lineno}: bad value for {key!r}: {val!r}") from exc
+    return values
+
+
+def parse_config_text(text: str) -> RadarConfig:
+    """Parse a ``key = value`` config document into a RadarConfig.
+
+    The lines follow ``read_key_values``; missing required keys are errors.
+    """
+    types = {
+        f.name: int if f.name in _INT_FIELDS else float for f in dataclasses.fields(RadarConfig)
+    }
+    values = read_key_values(text, types, ConfigError)
     missing = _REQUIRED - values.keys()
     if missing:
         raise ConfigError(f"missing required keys: {sorted(missing)}")

@@ -5,10 +5,13 @@ keypoint similarity (OKS), and AP summaries.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .config import read_key_values
 
 JOINT_NAMES = (
     "head", "neck",
@@ -93,8 +96,8 @@ class OksParams:
     sigmas: tuple[float, ...] = DEFAULT_SIGMAS
 
     def __post_init__(self):
-        if len(self.sigmas) != NUM_JOINTS or any(s <= 0 for s in self.sigmas):
-            raise PoseError(f"sigmas must be {NUM_JOINTS} positive values")
+        if len(self.sigmas) != NUM_JOINTS or not all(0 < s < math.inf for s in self.sigmas):
+            raise PoseError(f"sigmas must be {NUM_JOINTS} finite values > 0")
 
 
 def bce_loss(pred: np.ndarray, target: np.ndarray) -> float:
@@ -152,31 +155,15 @@ def load_keypoint_frames(path: str | Path) -> list[KeypointSet]:
     return [KeypointSet.from_json(frame) for frame in doc]
 
 
-def _sigma(value, where: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise PoseError(f"{where}: bad sigma {value!r}") from exc
-
-
 def load_oks_params(path: str | Path) -> OksParams:
-    """Read sigmas from a key=value file (sigma_<joint> = value) or JSON list."""
-    text = Path(path).read_text().strip()
-    if text.startswith("["):
-        return OksParams(sigmas=tuple(
-            _sigma(s, f"entry {i}") for i, s in enumerate(json.loads(text))
-        ))
-    values = dict(zip(JOINT_NAMES, DEFAULT_SIGMAS))
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, val = line.partition("=")
-        key = key.strip()
-        if not key.startswith("sigma_") or key[len("sigma_"):] not in JOINT_NAMES:
-            raise PoseError(f"line {lineno}: unknown key {key!r}")
-        values[key[len("sigma_"):]] = _sigma(val.strip(), f"line {lineno}")
-    return OksParams(sigmas=tuple(values[n] for n in JOINT_NAMES))
+    """Read sigmas from a ``sigma_<joint> = value`` file in the radar-config
+    line format; joints it does not name keep their ``DEFAULT_SIGMAS`` value."""
+    sigmas = read_key_values(
+        Path(path).read_text(), {f"sigma_{n}": float for n in JOINT_NAMES}, PoseError
+    )
+    return OksParams(sigmas=tuple(
+        sigmas.get(f"sigma_{n}", d) for n, d in zip(JOINT_NAMES, DEFAULT_SIGMAS)
+    ))
 
 
 def oks_per_frame(

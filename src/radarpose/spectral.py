@@ -124,13 +124,14 @@ def sample_doppler(
     return replace(rd, data=rd.data[:, idx])
 
 
-def range_doppler_map(cube: RadarCube, pad=None) -> RangeDopplerMap:
-    """2-D FFT over fast time then slow time, per virtual antenna.
+def range_doppler_map(cube: RadarCube) -> RangeDopplerMap:
+    """2-D FFT over fast time then slow time, per virtual antenna, at the
+    default lengths (next power of two of each axis).
 
     Output Doppler axis is centered.
     """
     n, m, _ = cube.data.shape
-    lengths = _resolve_pad(pad, (n, m))
+    lengths = (next_pow2(n), next_pow2(m))
     out = np.fft.fft(cube.data, n=lengths[0], axis=0)
     out = np.fft.fft(out, n=lengths[1], axis=1)
     out = np.fft.fftshift(out, axes=1)

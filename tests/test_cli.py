@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from radarpose import adc, probmap, sim, spectral, tensorio
 from radarpose.cli import EXIT_CONTRACT, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from radarpose.config import load_config
+from radarpose.config import config_text, load_config
 from radarpose.manifest import sha256_file
 from radarpose.pose import DEFAULT_SIGMAS, JOINT_NAMES
 from radarpose.tensorio import MAGIC, read_tensor, write_tensor
@@ -184,6 +184,24 @@ def test_missing_subcommand_args_exit_2(tmp_path):
     assert main(["simulate"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("case", ["config_is_dir", "output_is_dir", "pred_is_dir"])
+def test_os_errors_exit_3_without_traceback(tmp_path, cfg_file, capsys, case):
+    cap = tmp_path / "cap.bin"
+    cap.write_bytes(bytes(FRAME_BYTES))
+    (tmp_path / "gt.json").write_text(json.dumps([keypoint_doc()]))
+    a_dir = tmp_path / "a_dir"
+    a_dir.mkdir()
+    argv = {
+        "config_is_dir": ["heatmap", str(cap), "--config", str(a_dir),
+                          "--output", str(tmp_path / "o.tensor")],
+        "output_is_dir": ["heatmap", str(cap), "--config", cfg_file, "--output", str(a_dir)],
+        "pred_is_dir": ["eval", str(a_dir), str(tmp_path / "gt.json")],
+    }[case]
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "data error" in err and "Traceback" not in err
+
+
 def run_probmap(tmp_path, cfg_file, scene_targets, snr=30, frames=1):
     scene = write_scene(tmp_path, targets=scene_targets, snr_db=snr)
     cap = tmp_path / "cap.bin"
@@ -222,6 +240,24 @@ def test_probmap_zero_input_empty_bins(tmp_path, cfg_file):
     side = json.loads(Path(f"{prefix}.bins.f0000.json").read_text())
     assert side["range_bins"] == []
     assert read_tensor(f"{prefix}.prob.f0000.tensor").shape == (0, 4, 4)
+
+
+def test_probmap_angle_fft_sets_both_angle_axes(tmp_path, sim_config):
+    cfg = tmp_path / "radar8.cfg"
+    cfg.write_text(config_text(sim_config))
+    scene = write_scene(tmp_path, targets=[{"range": 6.0, "azimuth": 0.3}], snr_db=30)
+    assert main(["simulate", scene, "--config", str(cfg), "--output", str(tmp_path / "cap.bin"),
+                 "--radar", "both"]) == EXIT_OK
+    argv = ["probmap", str(tmp_path / "cap.h.bin"), str(tmp_path / "cap.v.bin"),
+            "--config", str(cfg)]
+    assert main(argv + ["--output", str(tmp_path / "out"), "--angle-fft", "16"]) == EXIT_OK
+    prob = read_tensor(tmp_path / "out.prob.f0000.tensor")
+    side = json.loads((tmp_path / "out.bins.f0000.json").read_text())
+    assert prob.shape[0] > 0 and prob.shape[1:] == (16, 16)
+    assert read_tensor(tmp_path / "out.enc.f0000.tensor").shape == (prob.shape[0], 64, 16, 16)
+    assert side["axes"] == {"azimuth": 16, "elevation": 16}
+    # 4 bins cannot hold the 8 azimuth antennas
+    assert main(argv + ["--output", str(tmp_path / "short"), "--angle-fft", "4"]) == EXIT_CONTRACT
 
 
 def test_probmap_frame_count_mismatch_exits_3(tmp_path, cfg_file, capsys):
@@ -552,6 +588,52 @@ def test_eval_known_oks_fixture(tmp_path):
     assert metrics["AP50"] == 1.0
     assert metrics["AP75"] == 0.5
     assert metrics["AP"] == 0.5
+
+
+def write_head_only_pair(tmp_path, d, area=100.0):
+    """pred/gt files of one frame whose only visible joint is the head, moved by d."""
+    gt = keypoint_doc()
+    gt["area"] = area
+    gt["joints"] = [dict(j, v=(1 if j["name"] == "head" else 0)) for j in gt["joints"]]
+    pred = json.loads(json.dumps(gt))
+    pred["joints"][0]["x"] += d
+    (tmp_path / "gt.json").write_text(json.dumps([gt]))
+    (tmp_path / "pred.json").write_text(json.dumps([pred]))
+    return str(tmp_path / "pred.json"), str(tmp_path / "gt.json")
+
+
+def test_eval_oks_config_sets_named_sigmas_only(tmp_path):
+    # OKS = exp(-d^2 / (2 area sigma^2)) with one visible joint: d chosen for
+    # exp(-1) at sigma_head = 0.05, which the default 0.026 would not give
+    area, sigma = 100.0, 0.05
+    pred, gt = write_head_only_pair(tmp_path, float(np.sqrt(2.0 * area * sigma ** 2)), area)
+    oks_cfg = tmp_path / "oks.cfg"
+    oks_cfg.write_text("# head only\n\nsigma_head = 0.05\n")
+    out = tmp_path / "metrics.json"
+    assert main(["eval", pred, gt, "--oks-config", str(oks_cfg), "--output", str(out)]) == EXIT_OK
+    (value,) = json.loads(out.read_text())["per_frame_oks"]
+    assert value == pytest.approx(np.exp(-1.0), rel=1e-12)
+    manifest = json.loads((tmp_path / "metrics.json.manifest.json").read_text())
+    assert str(oks_cfg) in manifest["inputs"]
+    assert main(["eval", pred, gt, "--output", str(out)]) == EXIT_OK
+    (default,) = json.loads(out.read_text())["per_frame_oks"]
+    assert default == pytest.approx(np.exp(-(sigma / DEFAULT_SIGMAS[0]) ** 2), rel=1e-12)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("sigma_head = 0.05\nsigma_head = 0.06\n", "line 2: duplicate key 'sigma_head'"),
+    ("sigma_neck = 0.05\nsigma_head 0.06\n", "line 2: expected 'key = value'"),
+    ("sigma_nose = 0.05\n", "line 1: unknown key 'sigma_nose'"),
+    ("sigma_head = wide\n", "line 1: bad value for 'sigma_head'"),
+    ("sigma_head = nan\n", "sigmas must be 14 finite values > 0"),
+    (json.dumps(list(DEFAULT_SIGMAS)), "line 1: expected 'key = value'"),
+], ids=["duplicate", "no_equals", "unknown_key", "bad_value", "nan", "json_list"])
+def test_eval_bad_oks_config_exits_3(tmp_path, capsys, text, message):
+    pred, gt = write_head_only_pair(tmp_path, 1.0)
+    oks_cfg = tmp_path / "oks.cfg"
+    oks_cfg.write_text(text)
+    assert main(["eval", pred, gt, "--oks-config", str(oks_cfg)]) == EXIT_DATA
+    assert message in capsys.readouterr().err
 
 
 def test_eval_missing_joint_exits_3(tmp_path):
