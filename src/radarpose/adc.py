@@ -15,7 +15,9 @@ to and from (frame, n, m, v).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
+from collections.abc import Iterator
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -87,6 +89,14 @@ def frame_byte_size(layout: AdcLayout, config: RadarConfig) -> int:
     return n_complex * 2 * layout.bytes_per_sample
 
 
+def _whole_frames(size: int, fsize: int, path: str | None = None) -> int:
+    """Number of ``fsize``-byte frames in ``size`` bytes of capture; an empty
+    capture or a partial last frame raises TruncatedCaptureError."""
+    if size == 0 or size % fsize:
+        raise TruncatedCaptureError(fsize, size, path)
+    return size // fsize
+
+
 def _shapes(num_frames: int, layout: AdcLayout, config: RadarConfig) -> tuple:
     """(lane, grid) shapes of ``num_frames`` frames; see the module docstring."""
     half = layout.lanes // 2
@@ -108,10 +118,7 @@ def parse_cubes(
     The cubes are views of one (frame, n, m, v) complex128 array, written by
     one transposed copy of the real lanes and one of the imaginary lanes.
     """
-    fsize = frame_byte_size(layout, config)
-    if len(data) == 0 or len(data) % fsize:
-        raise TruncatedCaptureError(fsize, len(data))
-    num_frames = len(data) // fsize
+    num_frames = _whole_frames(len(data), frame_byte_size(layout, config))
     lane_shape, grid_shape = _shapes(num_frames, layout, config)
     lanes = np.frombuffer(data, dtype="<i2").reshape(lane_shape)
     grid = np.empty(grid_shape, dtype=np.complex128)
@@ -125,6 +132,35 @@ def parse_cubes(
         RadarCube(data=frame, frame_index=i, radar_id=radar_id)
         for i, frame in enumerate(stack)
     ]
+
+
+def read_capture(path: str, config: RadarConfig, radar_id: str) -> tuple[int, Iterator[RadarCube]]:
+    """Frame count of the capture at ``path`` and an iterator that reads and
+    parses one frame per step.
+
+    The capture length is checked here, before any frame is read. The
+    iterator opens the file on its first step and reads each frame into one
+    reused buffer, so only the current frame's raw bytes and cube are held.
+    A capture that shrinks after the check raises at the first short frame.
+    """
+    layout = AdcLayout()
+    fsize = frame_byte_size(layout, config)
+    num_frames = _whole_frames(os.stat(path).st_size, fsize, path)
+
+    def frames():
+        raw = bytearray(fsize)
+        # unbuffered: one read per frame, straight into ``raw``; a regular
+        # file reads short only at its end
+        with open(path, "rb", buffering=0) as fh:
+            for i in range(num_frames):
+                got = fh.readinto(raw)
+                if got != fsize:
+                    raise TruncatedCaptureError(fsize, got, path, frame=i)
+                # parse_cubes copies into a fresh grid, so no cube aliases ``raw``
+                (cube,) = parse_cubes(raw, layout, config, radar_id=radar_id)
+                yield replace(cube, frame_index=i)
+
+    return num_frames, frames()
 
 
 def serialize_cubes(cubes: list[RadarCube], layout: AdcLayout, config: RadarConfig) -> bytes:

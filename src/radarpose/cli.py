@@ -11,10 +11,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
-from collections.abc import Iterator
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +41,8 @@ def cmd_simulate(args) -> int:
     config = load_config(args.config)
     if args.frames < 1:
         raise sim.SimError(f"--frames must be >= 1, got {args.frames}")
+    if not 0 < args.scale < math.inf:
+        raise sim.SimError(f"--scale must be finite and > 0, got {args.scale}")
     scene = sim.SceneSpec.load(args.scene)
     if args.seed is not None:
         scene = sim.SceneSpec(targets=scene.targets, snr_db=scene.snr_db, noise_seed=args.seed)
@@ -75,12 +76,11 @@ def cmd_simulate(args) -> int:
     write_manifest(
         _manifest_path(args.output),
         command="simulate",
-        inputs=[args.scene],
-        outputs=[path for _, path in outputs],
+        inputs={args.scene: None},
+        outputs=digests,
         seed=scene.noise_seed,
         config_path=args.config,
         extra={"frames": args.frames, "scale": args.scale},
-        digests=digests,
     )
     return EXIT_OK
 
@@ -95,41 +95,9 @@ def _sim_outputs(args):
     return [(args.radar, args.output)]
 
 
-def _load_cubes(path: str, config, radar_id: str) -> tuple[int, Iterator[adc.RadarCube]]:
-    """Frame count of a capture and an iterator that reads and parses one
-    frame per step.
-
-    The capture length is checked here, before any frame is read. The
-    iterator opens the file on its first step and reads each frame into one
-    reused buffer, so only the current frame's raw bytes and cube are held.
-    A capture that shrinks after the check raises at the first short frame.
-    """
-    layout = adc.AdcLayout()
-    fsize = adc.frame_byte_size(layout, config)
-    size = os.stat(path).st_size
-    if size == 0 or size % fsize:
-        raise adc.TruncatedCaptureError(fsize, size, path)
-    num_frames = size // fsize
-
-    def frames():
-        raw = bytearray(fsize)
-        # unbuffered: one read per frame, straight into ``raw``; a regular
-        # file reads short only at its end
-        with open(path, "rb", buffering=0) as fh:
-            for i in range(num_frames):
-                got = fh.readinto(raw)
-                if got != fsize:
-                    raise adc.TruncatedCaptureError(fsize, got, path, frame=i)
-                # parse_cubes copies into a fresh grid, so no cube aliases ``raw``
-                (cube,) = adc.parse_cubes(raw, layout, config, radar_id=radar_id)
-                yield replace(cube, frame_index=i)
-
-    return num_frames, frames()
-
-
 def cmd_heatmap(args) -> int:
     config = load_config(args.config)
-    num_frames, cubes = _load_cubes(args.adc, config, adc.HORIZONTAL)
+    num_frames, cubes = adc.read_capture(args.adc, config, adc.HORIZONTAL)
     fft_branch = args.branch == "fft"
     angle_fft = spectral.next_pow2(config.array_shape[0])
     maps = None
@@ -149,11 +117,10 @@ def cmd_heatmap(args) -> int:
     write_manifest(
         _manifest_path(args.output),
         command="heatmap",
-        inputs=[args.adc],
-        outputs=[args.output],
+        inputs={args.adc: None},
+        outputs={args.output: digest},
         config_path=args.config,
         extra={"branch": args.branch},
-        digests={args.output: digest},
     )
     return EXIT_OK
 
@@ -208,8 +175,8 @@ def _write_files(files: list[tuple[str, object]]) -> dict[str, str]:
 
 def cmd_probmap(args) -> int:
     config = load_config(args.config)
-    count_h, cubes_h = _load_cubes(args.adc_h, config, "horizontal")
-    count_v, cubes_v = _load_cubes(args.adc_v, config, "vertical")
+    count_h, cubes_h = adc.read_capture(args.adc_h, config, adc.HORIZONTAL)
+    count_v, cubes_v = adc.read_capture(args.adc_v, config, adc.VERTICAL)
     if count_h != count_v:
         raise adc.AdcError(
             f"frame count mismatch: horizontal has {count_h}, vertical has {count_v}"
@@ -221,7 +188,7 @@ def cmd_probmap(args) -> int:
     # start-up that no other command needs
     from concurrent.futures import ThreadPoolExecutor
 
-    inputs, outputs, digests = [args.adc_h, args.adc_v], [], {}
+    inputs, outputs = [args.adc_h, args.adc_v], {}
     # One writer thread, one frame behind: frame k's files are written and
     # hashed while frame k+1 is computed. Frame k's write is waited on before
     # frame k+1's is submitted and before any error of frame k+1 escapes, so
@@ -236,24 +203,21 @@ def cmd_probmap(args) -> int:
                 files = _probmap_frame(ch, cv, config, params, angle_fft, pe, args)
                 if pending is not None:
                     previous, pending = pending, None  # so finally does not wait on it twice
-                    digests.update(previous.result())
+                    outputs.update(previous.result())
                 pending = writer.submit(_write_files, files)
-                outputs += [path for path, _ in files]
         finally:
             if pending is not None:
-                digests.update(pending.result())
-        digests.update(inputs_hashed.result())
+                outputs.update(pending.result())
     write_manifest(
         _manifest_path(args.output),
         command="probmap",
-        inputs=inputs,
+        inputs=inputs_hashed.result(),
         outputs=outputs,
         config_path=args.config,
         extra={
             "cfar": {"guard": params.guard, "reference": params.reference, "pfa": params.pfa},
             "pe_depth": args.pe_depth,
         },
-        digests=digests,
     )
     return EXIT_OK
 
@@ -262,12 +226,12 @@ def cmd_fuse(args) -> int:
     t1 = tensorio.read_tensor(args.tensor1)
     t2 = tensorio.read_tensor(args.tensor2)
     fused = fusion.fuse_add(fusion.FeatureTensor(values=t1), fusion.FeatureTensor(values=t2))
-    tensorio.write_tensor(args.output, fused.values)
+    digest = tensorio.write_tensor(args.output, fused.values)
     write_manifest(
         _manifest_path(args.output),
         command="fuse",
-        inputs=[args.tensor1, args.tensor2],
-        outputs=[args.output],
+        inputs={args.tensor1: None, args.tensor2: None},
+        outputs={args.output: digest},
     )
     return EXIT_OK
 
@@ -281,12 +245,15 @@ def cmd_eval(args) -> int:
     report["per_frame_oks"] = values
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.output:
-        Path(args.output).write_text(text)
+        data = text.encode()
+        Path(args.output).write_bytes(data)
         write_manifest(
             _manifest_path(args.output),
             command="eval",
-            inputs=[args.pred, args.gt] + ([args.oks_config] if args.oks_config else []),
-            outputs=[args.output],
+            inputs=dict.fromkeys(
+                [args.pred, args.gt] + ([args.oks_config] if args.oks_config else [])
+            ),
+            outputs={args.output: hashlib.sha256(data).hexdigest()},
         )
     else:
         sys.stdout.write(text)

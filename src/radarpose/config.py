@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,11 +52,10 @@ class RadarConfig:
                 f"antenna geometry {self.azimuth_antennas}x{self.elevation_antennas} "
                 "needs azimuth_antennas >= 0 and elevation_antennas >= 1"
             )
-        az = self.azimuth_antennas or self.num_virtual
-        if az * self.elevation_antennas != self.num_virtual:
+        az, el = self.array_shape
+        if az * el != self.num_virtual:
             raise ConfigError(
-                f"antenna geometry {az}x{self.elevation_antennas} does not match "
-                f"{self.num_virtual} virtual channels"
+                f"antenna geometry {az}x{el} does not match {self.num_virtual} virtual channels"
             )
 
     @property
@@ -74,16 +74,6 @@ class RadarConfig:
         if self.chirp_period > 0:
             return self.chirp_period
         return 1.0 / (self.frame_rate * self.num_chirps * self.num_tx)
-
-
-_INT_FIELDS = {
-    "num_adc_samples", "num_chirps", "num_tx", "num_rx",
-    "azimuth_antennas", "elevation_antennas",
-}
-_REQUIRED = {
-    "num_adc_samples", "num_chirps", "num_tx", "num_rx",
-    "sample_rate", "chirp_slope", "carrier_freq",
-}
 
 
 def read_key_values(text: str, types: dict, error: type[Exception]) -> dict:
@@ -116,13 +106,13 @@ def read_key_values(text: str, types: dict, error: type[Exception]) -> dict:
 def parse_config_text(text: str) -> RadarConfig:
     """Parse a ``key = value`` config document into a RadarConfig.
 
-    The lines follow ``read_key_values``; missing required keys are errors.
+    The lines follow ``read_key_values``. Each key is read with the type its
+    ``RadarConfig`` field is annotated with, and a field without a default
+    is a required key.
     """
-    types = {
-        f.name: int if f.name in _INT_FIELDS else float for f in dataclasses.fields(RadarConfig)
-    }
-    values = read_key_values(text, types, ConfigError)
-    missing = _REQUIRED - values.keys()
+    fields = dataclasses.fields(RadarConfig)
+    values = read_key_values(text, typing.get_type_hints(RadarConfig), ConfigError)
+    missing = {f.name for f in fields if f.default is dataclasses.MISSING} - values.keys()
     if missing:
         raise ConfigError(f"missing required keys: {sorted(missing)}")
     return RadarConfig(**values)

@@ -22,32 +22,29 @@ def sha256_file(path: str | Path) -> str:
 def write_manifest(
     path: str | Path,
     command: str,
-    inputs: list[str | Path],
-    outputs: list[str | Path],
+    inputs: dict[str, str | None],
+    outputs: dict[str, str],
     seed: int | None = None,
     config_path: str | Path | None = None,
     extra: dict | None = None,
-    digests: dict[str, str] | None = None,
 ) -> dict:
     """Record command, content digests, seed and tool version for one run.
 
-    ``digests`` maps a path to the hex SHA-256 of the bytes the caller wrote
-    or read there; every other file is hashed from disk. The manifest carries the wall-clock timestamp, so it is
-    excluded from byte-identity comparisons; the artifacts themselves are
+    ``outputs`` maps each path to the hex SHA-256 of the bytes written there;
+    ``inputs`` maps each path to its digest, or to None to hash the file from
+    disk. The manifest carries the wall-clock timestamp, so it is excluded
+    from byte-identity comparisons; the artifacts themselves are
     deterministic.
     """
     from . import __version__
 
-    known = digests or {}
-
-    def digest(p):
-        return known.get(str(p)) or sha256_file(p)
-
     doc = {
         "command": command,
         "config_sha256": sha256_file(config_path) if config_path else None,
-        "inputs": {str(p): digest(p) for p in inputs},
-        "outputs": {str(p): digest(p) for p in outputs},
+        "inputs": {
+            str(p): sha256_file(p) if digest is None else digest for p, digest in inputs.items()
+        },
+        "outputs": {str(p): digest for p, digest in outputs.items()},
         "seed": seed,
         "tool_version": __version__,
         "timestamp_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),

@@ -104,11 +104,15 @@ class SceneSpec:
         seed = doc.get("noise_seed", 0)
         if isinstance(seed, bool) or not isinstance(seed, int):
             raise SceneError(f"noise_seed must be an integer, got {seed!r}")
-        return SceneSpec(
-            targets=tuple(_target_from_json(i, t) for i, t in enumerate(targets)),
-            snr_db=None if snr_db is None else _number(snr_db, "snr_db"),
-            noise_seed=seed,
-        )
+        # a value Target or SceneSpec rejects is a fault of the scene file
+        try:
+            return SceneSpec(
+                targets=tuple(_target_from_json(i, t) for i, t in enumerate(targets)),
+                snr_db=None if snr_db is None else _number(snr_db, "snr_db"),
+                noise_seed=seed,
+            )
+        except SimError as exc:
+            raise SceneError(str(exc)) from exc
 
     @staticmethod
     def load(path: str | Path) -> "SceneSpec":

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from radarpose import adc, probmap, sim, spectral, tensorio
+from radarpose import adc, manifest, probmap, sim, spectral, tensorio
 from radarpose.cli import EXIT_CONTRACT, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from radarpose.config import config_text, load_config
 from radarpose.manifest import sha256_file
@@ -160,6 +160,18 @@ def test_heatmap_rd_branch_samples_doppler(tmp_path):
     want = np.stack([spectral.range_doppler_map(c).data[:, idx] for c in cubes])
     assert maps.shape == (2, 16, 4, 12)
     np.testing.assert_array_equal(maps, want)
+
+
+@pytest.mark.parametrize("window", ["0", "1.5"])
+def test_heatmap_doppler_window_outside_0_1_exits_4(tmp_path, cfg_file, capsys, window):
+    cap = tmp_path / "cap.bin"
+    cap.write_bytes(bytes(FRAME_BYTES))
+    assert main([
+        "heatmap", str(cap), "--config", cfg_file, "--output", str(tmp_path / "o.tensor"),
+        "--doppler-keep", "2", "--doppler-window", window,
+    ]) == EXIT_CONTRACT
+    assert "velocity_window must be in (0, 1]" in capsys.readouterr().err
+    assert outputs_written(tmp_path) == []
 
 
 def test_truncated_capture_exits_3(tmp_path, cfg_file):
@@ -338,6 +350,37 @@ def test_probmap_manifest_digests_are_the_files_written(tmp_path, cfg_file):
     assert code == EXIT_OK
     doc = assert_manifest_digests_are_the_files(f"{prefix}.manifest.json")
     assert len(doc["inputs"]) == 2 and len(doc["outputs"]) == 9
+
+
+def test_no_command_reads_an_output_back_to_hash_it(tmp_path, cfg_file, monkeypatch):
+    hashed = []
+    original = manifest.sha256_file
+
+    def recording(path):
+        hashed.append(str(path))
+        return original(path)
+
+    monkeypatch.setattr(manifest, "sha256_file", recording)
+    scene = write_scene(tmp_path, targets=[{"range": 6.0, "azimuth": 0.2}], snr_db=20)
+    h, v = str(tmp_path / "cap.h.bin"), str(tmp_path / "cap.v.bin")
+    (tmp_path / "gt.json").write_text(json.dumps([keypoint_doc()]))
+    (tmp_path / "pred.json").write_text(json.dumps([keypoint_doc({"head": 1.0})]))
+    maps = str(tmp_path / "maps.tensor")
+    runs = {
+        "cap.bin": ["simulate", scene, "--config", cfg_file, "--output", str(tmp_path / "cap.bin"),
+                    "--radar", "both", "--frames", "2"],
+        "maps.tensor": ["heatmap", h, "--config", cfg_file, "--output", maps],
+        "out": ["probmap", h, v, "--config", cfg_file, "--output", str(tmp_path / "out")],
+        "fused.tensor": ["fuse", maps, maps, "--output", str(tmp_path / "fused.tensor")],
+        "metrics.json": ["eval", str(tmp_path / "pred.json"), str(tmp_path / "gt.json"),
+                         "--output", str(tmp_path / "metrics.json")],
+    }
+    for name, argv in runs.items():
+        hashed.clear()
+        assert main(argv) == EXIT_OK, name
+        doc = assert_manifest_digests_are_the_files(tmp_path / f"{name}.manifest.json")
+        assert set(doc["inputs"]) <= set(hashed), name
+        assert not set(hashed) & set(doc["outputs"]), name
 
 
 def test_probmap_computes_one_rd_map_per_cube(tmp_path, cfg_file, monkeypatch):
@@ -551,6 +594,18 @@ def test_fuse_shape_mismatch_exits_4(tmp_path):
     ]) == EXIT_CONTRACT
 
 
+def test_fuse_unsupported_tensor_version_exits_3(tmp_path, capsys):
+    good = tmp_path / "a.tensor"
+    write_tensor(good, np.zeros(3))
+    raw = bytearray(good.read_bytes())
+    raw[len(MAGIC)] = 2
+    bad = tmp_path / "b.tensor"
+    bad.write_bytes(bytes(raw))
+    assert main(["fuse", str(good), str(bad), "--output", str(tmp_path / "o.tensor")]) == EXIT_DATA
+    assert "unsupported version 2" in capsys.readouterr().err
+    assert outputs_written(tmp_path, "o") == []
+
+
 def test_eval_perfect_prediction(tmp_path):
     doc = [keypoint_doc()]
     for name in ("pred.json", "gt.json"):
@@ -588,6 +643,16 @@ def test_eval_known_oks_fixture(tmp_path):
     assert metrics["AP50"] == 1.0
     assert metrics["AP75"] == 0.5
     assert metrics["AP"] == 0.5
+
+
+def test_eval_without_output_prints_the_metrics_and_writes_no_manifest(tmp_path, capsys):
+    pred, gt = write_head_only_pair(tmp_path, 1.0)
+    out = tmp_path / "metrics.json"
+    assert main(["eval", pred, gt, "--output", str(out)]) == EXIT_OK
+    before = set(tmp_path.iterdir())
+    assert main(["eval", pred, gt]) == EXIT_OK
+    assert capsys.readouterr().out == out.read_text()
+    assert set(tmp_path.iterdir()) == before
 
 
 def write_head_only_pair(tmp_path, d, area=100.0):
@@ -649,6 +714,12 @@ def test_eval_missing_joint_exits_3(tmp_path):
 @pytest.mark.parametrize("doc", [
     {"targets": 5},
     {"targets": [{"range": "far"}]},
+    {"targets": [{"range": -1}]},
+    {"targets": [{"range": 1.0, "azimuth": 2.0}]},
+    {"noise_seed": -1},
+    [],
+    {"targets": [{"azimuth": 0.1}]},
+    {"noise_seed": 1.5},
 ])
 def test_simulate_malformed_scene_exits_3(tmp_path, cfg_file, doc):
     scene = tmp_path / "scene.json"
@@ -658,8 +729,25 @@ def test_simulate_malformed_scene_exits_3(tmp_path, cfg_file, doc):
     ]) == EXIT_DATA
 
 
-def test_eval_malformed_frames_exit_3(tmp_path):
-    (tmp_path / "pred.json").write_text(json.dumps([{"joints": 3, "area": 1}]))
+def with_joint(**values):
+    """A keypoint frame whose head joint takes ``values``."""
+    doc = keypoint_doc()
+    doc["joints"][0].update(values)
+    return doc
+
+
+@pytest.mark.parametrize("pred", [
+    [{"joints": 3, "area": 1}],
+    [with_joint(name=5)],
+    [with_joint(x="a")],
+    [with_joint(v=2)],
+    [dict(keypoint_doc(), area=0)],
+    5,
+    [keypoint_doc(), keypoint_doc()],
+], ids=["joints_not_list", "name_not_str", "x_not_number", "v_2", "area_0", "json_number",
+        "frame_count"])
+def test_eval_malformed_frames_exit_3(tmp_path, pred):
+    (tmp_path / "pred.json").write_text(json.dumps(pred))
     (tmp_path / "gt.json").write_text(json.dumps([keypoint_doc()]))
     assert main([
         "eval", str(tmp_path / "pred.json"), str(tmp_path / "gt.json"),
@@ -715,12 +803,16 @@ def test_simulate_prints_each_alias_warning_once_per_run(tmp_path, capsys):
     assert sum("beat frequency aliases" in line for line in lines) == 1
 
 
-def test_simulate_zero_frames_exits_4(tmp_path, cfg_file):
-    scene = write_scene(tmp_path)
+@pytest.mark.parametrize("flag, value", [
+    ("--frames", "0"), ("--scale", "0"), ("--scale", "-1"), ("--scale", "nan"), ("--scale", "inf"),
+])
+def test_simulate_bad_frames_or_scale_exits_4(tmp_path, cfg_file, flag, value):
+    scene = write_scene(tmp_path, targets=[{"range": 5.0}])
     assert main([
         "simulate", scene, "--config", cfg_file, "--output", str(tmp_path / "cap.bin"),
-        "--frames", "0",
+        flag, value,
     ]) == EXIT_CONTRACT
+    assert outputs_written(tmp_path, "cap") == []
 
 
 FRAME_BYTES = 32 * 8 * 4 * 4  # CONFIG: samples x chirps x virtual antennas x int16 re|im
