@@ -59,6 +59,8 @@ class KeypointSet:
             raise PoseError("visibility must have one flag per joint")
         if not np.all(np.isin(self.visibility, (0, 1))):
             raise PoseError("visibility flags must be 0 or 1")
+        if not (np.isfinite(self.xy).all() and math.isfinite(self.area)):
+            raise PoseError("joint coordinates and area must be finite")
         if np.any(self.visibility) and self.area <= 0:
             raise PoseError("area must be > 0 when any joint is visible")
 

@@ -9,12 +9,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adc import HORIZONTAL, RadarCube
+from .adc import RadarCube
 from .cfar import RangeBinSet
 from .config import RadarConfig
 from .spectral import (
-    AZIMUTH, ELEVATION, RangeDopplerMap, average_elevation, next_pow2, range_doppler_map,
+    AZIMUTH, ELEVATION, P_AXIS_ANGLE, RangeDopplerMap, angle_fft_length, average_elevation,
+    range_doppler_map,
 )
+
+PE_DEPTH = 32  # default positional-encoding depth
 
 
 class ProbMapError(ValueError):
@@ -73,17 +76,15 @@ def angle_spectrum(
 ) -> RangeAngleVector:
     """Doppler-averaged angle magnitude spectra for the selected range bins.
 
-    The horizontal radar provides azimuth, the vertical radar elevation;
-    both lie along the P axis of the config's (P, Q) array. The FFT
-    (``next_pow2(P)`` bins by default) runs across the elevation-averaged
+    ``axis`` must be the angle the radar's P axis sees (``P_AXIS_ANGLE``).
+    The FFT (``angle_fft_length`` bins) runs across the elevation-averaged
     antennas of the range-Doppler map, which should be the one detection
     ran on. A RadarCube is first transformed with ``range_doppler_map``.
     """
-    expected = AZIMUTH if rd.radar_id == HORIZONTAL else ELEVATION
+    expected = P_AXIS_ANGLE[rd.radar_id]
     if axis != expected:
-        raise ProbMapError(
-            f"{rd.radar_id} radar provides {expected}, not {axis}"
-        )
+        raise ProbMapError(f"{rd.radar_id} radar provides {expected}, not {axis}")
+    angle_len = angle_fft_length(config, angle_fft)
     if isinstance(rd, RadarCube):
         rd = range_doppler_map(rd)
     n_range = rd.data.shape[0]
@@ -91,9 +92,6 @@ def angle_spectrum(
     if bad:
         raise ProbMapError(f"range bins {bad} outside [0, {n_range})")
     sub = average_elevation(rd, config).data[list(bins)]  # (R_sel, Doppler, P)
-    angle_len = angle_fft or next_pow2(sub.shape[2])
-    if angle_len < sub.shape[2]:
-        raise ProbMapError(f"angle FFT length {angle_len} < {sub.shape[2]} antennas")
     spectra = np.fft.fft(sub, n=angle_len, axis=2)
     values = np.abs(spectra).mean(axis=1)
     empty = tuple(bool(r) for r in ~values.any(axis=1))
@@ -154,7 +152,7 @@ def probability_map(v_ra: RangeAngleVector, v_re: RangeAngleVector) -> Probabili
     )
 
 
-def positional_encoding(a_bins: int, e_bins: int, depth: int = 32) -> PositionalEncoding:
+def positional_encoding(a_bins: int, e_bins: int, depth: int = PE_DEPTH) -> PositionalEncoding:
     """Sine/cosine encoding of integer (azimuth, elevation) bin coordinates.
 
     Channel 2i at azimuth position p holds sin(p / 10000^(2i/depth)) and

@@ -7,8 +7,8 @@ antenna v) receives
 
 with beat frequency f_b = 2*slope*range/c, Doppler f_d = 2*v_r*f_c/c, slow
 time step T_c, and (p, q) the virtual antenna's position in the array grid.
-a1 is the angle along the radar's primary array axis (azimuth for the
-horizontal radar, elevation for the vertical one); a2 is the other angle.
+a1 is the angle along the radar's P axis (``spectral.P_AXIS_ANGLE``); a2 is
+the other angle.
 
 The phase is a sum of a range, a Doppler and a steering term, so the
 exponential factors into three 1-D phasors per target t:
@@ -34,8 +34,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .adc import HORIZONTAL, VERTICAL, RadarCube
+from .adc import HORIZONTAL, RadarCube
 from .config import RadarConfig
+from .spectral import AZIMUTH, P_AXIS_ANGLE
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -64,8 +65,9 @@ class Target:
 
 
 def _number(value, what: str):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SceneError(f"{what} must be a number, got {value!r}")
+    finite = isinstance(value, (int, float)) and -math.inf < value < math.inf
+    if isinstance(value, bool) or not finite:
+        raise SceneError(f"{what} must be a finite number, got {value!r}")
     return value
 
 
@@ -132,14 +134,6 @@ def _slow_time_step(config: RadarConfig) -> float:
     return config.chirp_interval * config.num_tx
 
 
-def _array_angles(t: Target, radar_id: str) -> tuple[float, float]:
-    if radar_id == HORIZONTAL:
-        return t.azimuth, t.elevation
-    if radar_id == VERTICAL:
-        return t.elevation, t.azimuth
-    raise SimError(f"bad radar_id {radar_id!r}")
-
-
 def scene_warnings(scene: SceneSpec, config: RadarConfig) -> list[str]:
     """Targets whose beat or Doppler frequency aliases under ``config``.
 
@@ -167,16 +161,16 @@ def synth_frame(
     frame and radar draws an independent but reproducible stream.
     """
     n_count, m_count, v_count = config.num_adc_samples, config.num_chirps, config.num_virtual
-    q_count = config.array_shape[1]
     n = np.arange(n_count)
     m = np.arange(m_count)
-    p, q = np.divmod(np.arange(v_count), q_count)
+    p, q = np.unravel_index(np.arange(v_count), config.array_shape)
     t_c = _slow_time_step(config)
+    p_sees_azimuth = P_AXIS_ANGLE.get(radar_id) == AZIMUTH
     range_doppler, steering = [], []
     for tgt in scene.targets:
         f_b = _beat_freq(tgt, config)
         f_d = _doppler_freq(tgt, config)
-        a1, a2 = _array_angles(tgt, radar_id)
+        a1, a2 = (tgt.azimuth, tgt.elevation) if p_sees_azimuth else (tgt.elevation, tgt.azimuth)
         r = tgt.rcs_amplitude * np.exp(2j * np.pi * (f_b * n / config.sample_rate))
         d = np.exp(2j * np.pi * (f_d * t_c * m))
         range_doppler.append(np.outer(r, d).ravel())

@@ -4,7 +4,9 @@ Doppler chirp sampling, and the reference 4-D FFT.
 Conventions fixed project-wide: unnormalized forward transforms (no 1/N
 scaling), FFT lengths default to the next power of two >= the data length
 (zero padded, recorded on the output), and the Doppler axis of a
-range-Doppler map is centered (zero velocity at bin M // 2).
+range-Doppler map is centered (zero velocity at bin M // 2). Array geometry
+is kept here: virtual antenna v = p*Q + q sits at (p, q) of the config's
+(P, Q) array, and ``P_AXIS_ANGLE`` names the angle each radar's P axis sees.
 """
 
 from __future__ import annotations
@@ -12,11 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 import numpy as np
 
-from .adc import HORIZONTAL, RadarCube
+from .adc import HORIZONTAL, VERTICAL, RadarCube
 from .config import RadarConfig
 
 AZIMUTH = "azimuth"
 ELEVATION = "elevation"
+P_AXIS_ANGLE = {HORIZONTAL: AZIMUTH, VERTICAL: ELEVATION}
+DEFAULT_VELOCITY_WINDOW = 0.5
 
 
 class SpectralError(ValueError):
@@ -37,6 +41,23 @@ def _resolve_pad(pad, dims) -> tuple[int, ...]:
         if p < d:
             raise SpectralError(f"pad length {p} is smaller than data length {d}")
     return pad
+
+
+def antenna_grid(data: np.ndarray, config: RadarConfig) -> np.ndarray:
+    """View of the last (virtual antenna) axis of ``data`` as the (P, Q) array."""
+    p, q = config.array_shape
+    if data.shape[-1] != p * q:
+        raise SpectralError(f"{data.shape[-1]} antennas do not match the {p}x{q} array")
+    return data.reshape(data.shape[:-1] + (p, q))
+
+
+def angle_fft_length(config: RadarConfig, requested: int | None = None) -> int:
+    """Angle-FFT length: ``requested``, or ``next_pow2(P)`` if 0 or None; below P raises."""
+    p = config.array_shape[0]
+    length = requested or next_pow2(p)
+    if length < p:
+        raise SpectralError(f"angle FFT length {length} < {p} antennas")
+    return length
 
 
 @dataclass(frozen=True)
@@ -60,16 +81,8 @@ class RangeDopplerMap:
 
 
 def fft4d(cube: RadarCube, config: RadarConfig, pad=None) -> Spectrum4D:
-    """Four-axis forward DFT of a radar cube, the reference transform.
-
-    The virtual antenna axis is reshaped to the (P, Q) array geometry
-    declared in the config before transforming.
-    """
-    p_count, q_count = config.array_shape
-    n, m, v = cube.data.shape
-    if v != p_count * q_count:
-        raise SpectralError(f"cube has {v} antennas, geometry needs {p_count * q_count}")
-    grid = cube.data.reshape(n, m, p_count, q_count)
+    """Four-axis forward DFT of a cube on its (P, Q) antenna grid, the reference transform."""
+    grid = antenna_grid(cube.data, config)
     lengths = _resolve_pad(pad, grid.shape)
     return Spectrum4D(data=np.fft.fftn(grid, s=lengths, axes=(0, 1, 2, 3)), fft_lengths=lengths)
 
@@ -79,18 +92,12 @@ def average_elevation(
 ) -> RadarCube | RangeDopplerMap:
     """Complex elevation averaging: keep the P antennas of elevation row q = 0.
 
-    Virtual antenna v sits at (p, q) = (v // Q, v % Q) of the config's
-    (P, Q) array, so row 0 is ``data[..., ::Q]``; the result is a view of
-    the same type. The complex mean over the zero-padded elevation-FFT axis
-    of the 4-D FFT is the inverse DFT at q = 0, so it equals the P-axis FFT
-    of elevation row 0 alone; transforming that row is 1/Q of the work.
+    Row 0 is ``antenna_grid(data)[..., 0]``, a view of the same type. The
+    complex mean over the zero-padded elevation-FFT axis of the 4-D FFT is
+    the inverse DFT at q = 0, so it equals the P-axis FFT of elevation row 0
+    alone; transforming that row is 1/Q of the work.
     """
-    p_count, q_count = config.array_shape
-    if x.data.shape[2] != p_count * q_count:
-        raise SpectralError(
-            f"{x.data.shape[2]} antennas do not match the {p_count}x{q_count} array"
-        )
-    return replace(x, data=x.data[..., ::q_count])
+    return replace(x, data=antenna_grid(x.data, config)[..., 0])
 
 
 def doppler_sample_indices(m: int, keep: int, velocity_window: float) -> np.ndarray:
@@ -113,7 +120,7 @@ def doppler_sample_indices(m: int, keep: int, velocity_window: float) -> np.ndar
 
 
 def sample_doppler(
-    rd: RangeDopplerMap, keep: int, velocity_window: float = 0.5
+    rd: RangeDopplerMap, keep: int, velocity_window: float = DEFAULT_VELOCITY_WINDOW
 ) -> RangeDopplerMap:
     """Keep ``doppler_sample_indices`` bins of a map's Doppler axis.
 

@@ -268,8 +268,25 @@ def test_probmap_angle_fft_sets_both_angle_axes(tmp_path, sim_config):
     assert prob.shape[0] > 0 and prob.shape[1:] == (16, 16)
     assert read_tensor(tmp_path / "out.enc.f0000.tensor").shape == (prob.shape[0], 64, 16, 16)
     assert side["axes"] == {"azimuth": 16, "elevation": 16}
+
+
+def test_probmap_too_short_angle_fft_exits_4_before_any_frame(
+    tmp_path, sim_config, monkeypatch, capsys
+):
+    cfg = tmp_path / "radar8.cfg"
+    cfg.write_text(config_text(sim_config))
+    scene = write_scene(tmp_path, targets=[{"range": 6.0, "azimuth": 0.3}], snr_db=30)
+    assert main(["simulate", scene, "--config", str(cfg), "--output", str(tmp_path / "cap.bin"),
+                 "--radar", "both"]) == EXIT_OK
+    calls = []
+    monkeypatch.setattr(spectral, "range_doppler_map", lambda *a, **k: calls.append(a))
     # 4 bins cannot hold the 8 azimuth antennas
-    assert main(argv + ["--output", str(tmp_path / "short"), "--angle-fft", "4"]) == EXIT_CONTRACT
+    assert main(["probmap", str(tmp_path / "cap.h.bin"), str(tmp_path / "cap.v.bin"),
+                 "--config", str(cfg), "--output", str(tmp_path / "short"),
+                 "--angle-fft", "4"]) == EXIT_CONTRACT
+    assert "angle FFT length 4 < 8 antennas" in capsys.readouterr().err
+    assert calls == []
+    assert outputs_written(tmp_path, "short") == []
 
 
 def test_probmap_frame_count_mismatch_exits_3(tmp_path, cfg_file, capsys):
@@ -720,13 +737,17 @@ def test_eval_missing_joint_exits_3(tmp_path):
     [],
     {"targets": [{"azimuth": 0.1}]},
     {"noise_seed": 1.5},
+    {"targets": [{"range": 1.0}], "snr_db": float("nan")},
+    {"targets": [{"range": float("inf")}]},
 ])
-def test_simulate_malformed_scene_exits_3(tmp_path, cfg_file, doc):
+def test_simulate_malformed_scene_exits_3(tmp_path, cfg_file, capsys, doc):
     scene = tmp_path / "scene.json"
-    scene.write_text(json.dumps(doc))
+    scene.write_text(json.dumps(doc))  # json writes nan and inf as NaN and Infinity
     assert main([
         "simulate", str(scene), "--config", cfg_file, "--output", str(tmp_path / "cap.bin"),
     ]) == EXIT_DATA
+    # reported as a scene fault, not as the int16 overflow a NaN would cause later
+    assert "scale" not in capsys.readouterr().err
 
 
 def with_joint(**values):
@@ -744,8 +765,12 @@ def with_joint(**values):
     [dict(keypoint_doc(), area=0)],
     5,
     [keypoint_doc(), keypoint_doc()],
+    [with_joint(x=float("nan"))],
+    [with_joint(y=float("inf"))],
+    [dict(keypoint_doc(), area=float("nan"))],
+    [dict(keypoint_doc(), area=float("inf"))],
 ], ids=["joints_not_list", "name_not_str", "x_not_number", "v_2", "area_0", "json_number",
-        "frame_count"])
+        "frame_count", "x_nan", "y_inf", "area_nan", "area_inf"])
 def test_eval_malformed_frames_exit_3(tmp_path, pred):
     (tmp_path / "pred.json").write_text(json.dumps(pred))
     (tmp_path / "gt.json").write_text(json.dumps([keypoint_doc()]))

@@ -165,19 +165,24 @@ def test_average_elevation_matches_loop(rng):
     np.testing.assert_array_equal(out.data, oracle)
 
 
-def test_average_elevation_rejects_wrong_antenna_count():
+@pytest.mark.parametrize("transform", [average_elevation, fft4d])
+def test_average_elevation_rejects_wrong_antenna_count(transform):
     cube = make_cube(np.zeros((8, 4, 6), dtype=complex))
-    with pytest.raises(SpectralError, match="4x3"):
-        average_elevation(cube, grid_config(4, 3))
+    with pytest.raises(SpectralError, match="6 antennas do not match the 4x3 array"):
+        transform(cube, grid_config(4, 3))
 
 
-@pytest.mark.parametrize("az,el", [(4, 3), (2, 4), (8, 1)])
+@pytest.mark.parametrize("az,el", [(4, 3), (2, 4), (8, 1), (12, 1)])
 def test_average_elevation_keeps_only_elevation_row_zero(rng, az, el):
     # the defining identity: the complex mean over the zero-padded elevation
     # FFT axis of the 4-D FFT is the P-axis FFT of elevation row q = 0
     cfg = grid_config(az, el)
     grid = rng.standard_normal((8, 4, az, el)) + 1j * rng.standard_normal((8, 4, az, el))
     cube = make_cube(grid)
+    # row 0 is antennas v = p*Q, taken as a view of the cube
+    row0_cube = average_elevation(cube, cfg).data
+    assert np.shares_memory(row0_cube, cube.data)
+    np.testing.assert_array_equal(row0_cube, cube.data[:, :, [p * el for p in range(az)]])
     rd = range_doppler_map(average_elevation(cube, cfg))
     row0 = np.fft.fft(rd.data, n=next_pow2(az), axis=2)
     reference = np.fft.fftshift(fft4d(cube, cfg).data.mean(axis=3), axes=1)
