@@ -324,7 +324,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (adc.AdcError, tensorio.TensorFormatError, PoseError, sim.SceneError,
-            json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
+            UnicodeDecodeError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (cfar.CfarError, probmap.ProbMapError, fusion.FusionError,

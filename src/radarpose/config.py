@@ -1,10 +1,14 @@
-"""Radar acquisition configuration and key=value config file loading."""
+"""Radar configuration, and the typed readers of key=value and JSON files."""
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
+import reprlib
+import sys
 import typing
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -101,6 +105,50 @@ def read_key_values(text: str, types: dict, error: type[Exception]) -> dict:
         except ValueError as exc:
             raise error(f"line {lineno}: bad value for {key!r}: {val!r}") from exc
     return values
+
+
+def load_json(text: str, name: str, error: type[Exception]):
+    """Parse JSON for ``read_json_object``. Malformed JSON, a repeated key and
+    an integer past Python's digit limit raise ``error`` with a ``name:`` prefix."""
+    def unique(pairs):
+        repeated = [key for key, n in Counter(key for key, _ in pairs).items() if n > 1]
+        if repeated:
+            raise ValueError(f"repeated keys {repeated}")
+        return dict(pairs)
+    try:
+        return json.loads(text, object_pairs_hook=unique)
+    except ValueError as exc:
+        raise error(f"{name}: {exc}") from exc
+
+
+_JSON_NAMES = {float: "a finite number", int: "an integer", str: "a string", list: "a list",
+               type(None): "null"}
+
+
+def read_json_object(doc, types: dict, where: str, error: type[Exception], required=()) -> dict:
+    """Check that ``doc`` is a JSON object of {key: value of types[key]}; return it.
+
+    As in ``read_key_values``, an unknown key is an error, and so is a missing
+    ``required`` one. A float is a JSON number that converts to a finite
+    float; int, str and list are exactly that JSON type, so a bool is no
+    number and a float no int; ``X | None`` takes null too. Errors name
+    ``<where> <key>``.
+    """
+    if not isinstance(doc, dict):
+        raise error(f"{where}: expected a JSON object, got {reprlib.repr(doc)}")
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise error(f"{where}: missing keys {missing}")
+    for key, value in doc.items():
+        if key not in types:
+            raise error(f"{where}: unknown key {reprlib.repr(key)}")
+        kinds = typing.get_args(types[key]) or (types[key],)
+        number = float in kinds and type(value) in (int, float)
+        # finite, and an int that converts to float without OverflowError
+        if not (abs(value) <= sys.float_info.max if number else type(value) in kinds):
+            wanted = " or ".join(_JSON_NAMES[kind] for kind in kinds)
+            raise error(f"{where} {key}: expected {wanted}, got {reprlib.repr(value)}")
+    return doc
 
 
 def parse_config_text(text: str) -> RadarConfig:

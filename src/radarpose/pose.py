@@ -4,14 +4,15 @@ keypoint similarity (OKS), and AP summaries.
 
 from __future__ import annotations
 
-import json
 import math
+import reprlib
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .config import read_key_values
+from .config import load_json, read_json_object, read_key_values
 
 JOINT_NAMES = (
     "head", "neck",
@@ -52,35 +53,32 @@ class KeypointSet:
     visibility: np.ndarray  # (14,) of {0, 1}
     area: float             # bounding-box area in pixel^2
 
-    def __post_init__(self):
-        if self.xy.shape != (NUM_JOINTS, 2):
-            raise PoseError(f"expected {NUM_JOINTS} joints, got shape {self.xy.shape}")
-        if self.visibility.shape != (NUM_JOINTS,):
-            raise PoseError("visibility must have one flag per joint")
-        if not np.all(np.isin(self.visibility, (0, 1))):
-            raise PoseError("visibility flags must be 0 or 1")
-        if not (np.isfinite(self.xy).all() and math.isfinite(self.area)):
-            raise PoseError("joint coordinates and area must be finite")
-        if np.any(self.visibility) and self.area <= 0:
-            raise PoseError("area must be > 0 when any joint is visible")
-
     @staticmethod
-    def from_json(doc: dict) -> "KeypointSet":
-        if not isinstance(doc, dict) or not isinstance(doc.get("joints"), list):
-            raise PoseError("a keypoint frame must be an object with a 'joints' list")
-        if not all(isinstance(j, dict) and isinstance(j.get("name"), str) for j in doc["joints"]):
-            raise PoseError("every joint must be an object with a string 'name'")
-        joints = {j["name"]: j for j in doc["joints"]}
-        missing = set(JOINT_NAMES) - joints.keys()
+    def from_json(doc, where: str = "frame") -> "KeypointSet":
+        """Read one keypoint frame: each of ``JOINT_NAMES`` once, with ``v`` 0 or 1,
+        and an area > 0 if a joint is visible. Errors name fields after ``where``."""
+        frame = read_json_object(doc, _FRAME_KEYS, where, PoseError, required=("joints", "area"))
+        joints = {}
+        for index, joint in enumerate(frame["joints"]):
+            name = joint.get("name") if isinstance(joint, dict) else None
+            path = f"{where} joint {name if name in JOINT_NAMES else index}"
+            joint = read_json_object(joint, _JOINT_KEYS, path, PoseError, required=_JOINT_KEYS)
+            if name not in JOINT_NAMES or name in joints:
+                known = "repeated" if name in joints else "unknown"
+                raise PoseError(f"{path} name: {known} joint {reprlib.repr(joint['name'])}")
+            if joint["v"] not in (0, 1):
+                raise PoseError(f"{path} v: expected 0 or 1, got {joint['v']}")
+            joints[name] = joint
+        missing = [n for n in JOINT_NAMES if n not in joints]
         if missing:
-            raise PoseError(f"missing joints: {sorted(missing)}")
-        try:
-            xy = np.array([[joints[n]["x"], joints[n]["y"]] for n in JOINT_NAMES], dtype=float)
-            vis = np.array([int(joints[n]["v"]) for n in JOINT_NAMES])
-            area = float(doc["area"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise PoseError(f"bad keypoint frame: {type(exc).__name__}: {exc}") from exc
-        return KeypointSet(xy=xy, visibility=vis, area=area)
+            raise PoseError(f"{where}: missing joints {missing}")
+        if frame["area"] <= 0 and any(j["v"] for j in joints.values()):
+            raise PoseError(f"{where} area: must be > 0 when a joint is visible")
+        return KeypointSet(
+            xy=np.array([[joints[n]["x"], joints[n]["y"]] for n in JOINT_NAMES], dtype=float),
+            visibility=np.array([joints[n]["v"] for n in JOINT_NAMES]),
+            area=float(frame["area"]),
+        )
 
     def to_json(self, frame: int = 0) -> dict:
         return {
@@ -91,6 +89,11 @@ class KeypointSet:
             ],
             "area": float(self.area),
         }
+
+
+# keypoint frame and joint keys and their types; "area" is the KeypointSet field
+_FRAME_KEYS = {"joints": list, "area": typing.get_type_hints(KeypointSet)["area"], "frame": int}
+_JOINT_KEYS = {"name": str, "x": float, "y": float, "v": int}
 
 
 @dataclass(frozen=True)
@@ -149,12 +152,12 @@ def ap_summary(oks_values) -> dict:
 
 def load_keypoint_frames(path: str | Path) -> list[KeypointSet]:
     """Read a JSON list of keypoint frames (or a single frame object)."""
-    doc = json.loads(Path(path).read_text())
+    doc = load_json(Path(path).read_text(), str(path), PoseError)
     if isinstance(doc, dict):
         doc = [doc]
     if not isinstance(doc, list):
         raise PoseError(f"{path}: expected a keypoint frame or a list of frames")
-    return [KeypointSet.from_json(frame) for frame in doc]
+    return [KeypointSet.from_json(frame, f"{path} frame {i}") for i, frame in enumerate(doc)]
 
 
 def load_oks_params(path: str | Path) -> OksParams:

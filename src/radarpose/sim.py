@@ -27,15 +27,16 @@ same values as adding sigma * (a + 1j*b) without the complex temporaries.
 
 from __future__ import annotations
 
-import json
+import functools
 import math
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .adc import HORIZONTAL, RadarCube
-from .config import RadarConfig
+from .config import RadarConfig, load_json, read_json_object
 from .spectral import AZIMUTH, P_AXIS_ANGLE
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -64,26 +65,6 @@ class Target:
             raise SimError("azimuth and elevation must be within (-pi/2, pi/2)")
 
 
-def _number(value, what: str):
-    finite = isinstance(value, (int, float)) and -math.inf < value < math.inf
-    if isinstance(value, bool) or not finite:
-        raise SceneError(f"{what} must be a finite number, got {value!r}")
-    return value
-
-
-def _target_from_json(index: int, doc) -> Target:
-    if not isinstance(doc, dict) or "range" not in doc:
-        raise SceneError(f"target {index} must be an object with a 'range', got {doc!r}")
-    return Target(
-        range_m=_number(doc["range"], f"target {index} range"),
-        **{
-            key: _number(doc[key], f"target {index} {key}")
-            for key in ("radial_velocity", "azimuth", "elevation", "rcs_amplitude")
-            if key in doc
-        },
-    )
-
-
 @dataclass(frozen=True)
 class SceneSpec:
     targets: tuple[Target, ...] = ()
@@ -93,25 +74,35 @@ class SceneSpec:
     def __post_init__(self):
         if self.noise_seed < 0:
             raise SimError(f"noise_seed must be >= 0, got {self.noise_seed}")
+        self.noise_sigma  # computed here so that a scene whose noise level overflows is rejected
+
+    @functools.cached_property
+    def noise_sigma(self) -> float | None:
+        """Standard deviation of the real and of the imaginary noise part."""
+        if self.snr_db is None:
+            return None
+        amp_ref = max((t.rcs_amplitude for t in self.targets), default=1.0)
+        try:
+            sigma = math.sqrt(amp_ref ** 2 / 10.0 ** (self.snr_db / 10.0) / 2.0)
+        except (OverflowError, ZeroDivisionError):
+            sigma = math.inf
+        if sigma < math.inf:
+            return sigma
+        raise SimError(f"snr_db {self.snr_db} with peak rcs_amplitude {amp_ref} "
+                       "gives no finite noise level")
 
     @staticmethod
     def from_json(text: str) -> "SceneSpec":
-        doc = json.loads(text)
-        if not isinstance(doc, dict):
-            raise SceneError(f"scene must be a JSON object, got {type(doc).__name__}")
-        targets = doc.get("targets", [])
-        if not isinstance(targets, list):
-            raise SceneError(f"targets must be a list, got {type(targets).__name__}")
-        snr_db = doc.get("snr_db")
-        seed = doc.get("noise_seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise SceneError(f"noise_seed must be an integer, got {seed!r}")
+        doc = load_json(text, "scene", SceneError)
+        doc = read_json_object(doc, _SCENE_KEYS, "scene", SceneError)
+        targets = [
+            read_json_object(t, _TARGET_KEYS, f"target {i}", SceneError, required=("range",))
+            for i, t in enumerate(doc.pop("targets", []))
+        ]
         # a value Target or SceneSpec rejects is a fault of the scene file
         try:
             return SceneSpec(
-                targets=tuple(_target_from_json(i, t) for i, t in enumerate(targets)),
-                snr_db=None if snr_db is None else _number(snr_db, "snr_db"),
-                noise_seed=seed,
+                targets=tuple(Target(range_m=t.pop("range"), **t) for t in targets), **doc
             )
         except SimError as exc:
             raise SceneError(str(exc)) from exc
@@ -119,6 +110,12 @@ class SceneSpec:
     @staticmethod
     def load(path: str | Path) -> "SceneSpec":
         return SceneSpec.from_json(Path(path).read_text())
+
+
+# scene JSON keys and their types, from the dataclass hints ("range" is range_m)
+_SCENE_KEYS = dict(typing.get_type_hints(SceneSpec), targets=list)
+_TARGET_KEYS = typing.get_type_hints(Target)
+_TARGET_KEYS["range"] = _TARGET_KEYS.pop("range_m")
 
 
 def _beat_freq(t: Target, config: RadarConfig) -> float:
@@ -185,13 +182,11 @@ def synth_frame(
         for rd, s in zip(range_doppler, steering):
             column += rd * s[v]
     data = np.ascontiguousarray(columns.T).reshape(n_count, m_count, v_count)
-    if scene.snr_db is not None:
-        amp_ref = max((t.rcs_amplitude for t in scene.targets), default=1.0)
-        noise_power = amp_ref ** 2 / 10.0 ** (scene.snr_db / 10.0)
+    sigma = scene.noise_sigma
+    if sigma is not None:
         rng = np.random.default_rng(
             [scene.noise_seed, frame_index, 0 if radar_id == HORIZONTAL else 1]
         )
-        sigma = math.sqrt(noise_power / 2.0)
         data.real += sigma * rng.standard_normal(data.shape)
         data.imag += sigma * rng.standard_normal(data.shape)
     return RadarCube(data=data, frame_index=frame_index, radar_id=radar_id)

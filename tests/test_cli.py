@@ -728,26 +728,54 @@ def test_eval_missing_joint_exits_3(tmp_path):
     ]) == EXIT_DATA
 
 
-@pytest.mark.parametrize("doc", [
-    {"targets": 5},
-    {"targets": [{"range": "far"}]},
-    {"targets": [{"range": -1}]},
-    {"targets": [{"range": 1.0, "azimuth": 2.0}]},
-    {"noise_seed": -1},
-    [],
-    {"targets": [{"azimuth": 0.1}]},
-    {"noise_seed": 1.5},
-    {"targets": [{"range": 1.0}], "snr_db": float("nan")},
-    {"targets": [{"range": float("inf")}]},
+BIG = 10 ** 400  # a 401-digit JSON integer: finite as an int, too large for a float
+
+
+def write_json(path, doc):
+    """Write ``doc`` as JSON (json writes nan and inf as NaN and Infinity), or
+    as it is if it is already text."""
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"targets": 5}, "scene targets: expected a list"),
+    ({"targets": [{"range": "far"}]}, "target 0 range: expected a finite number, got 'far'"),
+    ({"targets": [{"range": -1}]}, "range must be > 0"),
+    ({"targets": [{"range": 1.0, "azimuth": 2.0}]}, "azimuth and elevation must be within"),
+    ({"noise_seed": -1}, "noise_seed must be >= 0"),
+    ([], "scene: expected a JSON object"),
+    ({"targets": [{"azimuth": 0.1}]}, "target 0: missing keys ['range']"),
+    ({"noise_seed": 1.5}, "scene noise_seed: expected an integer, got 1.5"),
+    ({"targets": [{"range": 1.0}], "snr_db": float("nan")}, "scene snr_db: expected a finite"),
+    ({"targets": [{"range": float("inf")}]}, "target 0 range: expected a finite number"),
+    ({"targets": [{"range": BIG}]}, "target 0 range: expected a finite number"),
+    ({"targets": [{"range": 1.0}], "snr_db": BIG}, "scene snr_db: expected a finite number"),
+    ({"targets": [{"range": 1.0, "rcs_amplitude": BIG}]}, "target 0 rcs_amplitude: expected"),
+    ({"targets": [{"range": 1.0, "radial_velocity": BIG}]}, "target 0 radial_velocity: expected"),
+    ({"target": [{"range": 3.0}]}, "scene: unknown key 'target'"),
+    ({"targets": [{"range": 3.0, "azimuth_deg": 10}]}, "target 0: unknown key 'azimuth_deg'"),
+    ('{"targets": [{"range": 3.0, "range": 4.0}]}', "scene: repeated keys ['range']"),
+    ({"targets": [{"range": 1.0}], "snr_db": True}, "scene snr_db: expected a finite number"),
+    ({"targets": [{"range": 1.0}], "snr_db": -4000}, "snr_db -4000 "),
+    ({"targets": [{"range": 1.0}], "snr_db": -1e300}, "snr_db -1e+300 "),
+    ({"targets": [{"range": 1.0}], "snr_db": 1e300}, "snr_db 1e+300 "),
+    ({"targets": [{"range": 1.0, "rcs_amplitude": 1e200}], "snr_db": 10}, "rcs_amplitude 1e+200 "),
+], ids=[f"doc{i}" for i in range(10)] + [
+    "range_401_digits", "snr_db_401_digits", "rcs_amplitude_401_digits",
+    "radial_velocity_401_digits", "key_target", "key_azimuth_deg", "repeated_key", "snr_db_true",
+    "snr_db_-4000", "snr_db_-1e300", "snr_db_1e300", "rcs_amplitude_1e200_snr_db_10",
 ])
-def test_simulate_malformed_scene_exits_3(tmp_path, cfg_file, capsys, doc):
+def test_simulate_malformed_scene_exits_3(tmp_path, cfg_file, capsys, doc, message):
     scene = tmp_path / "scene.json"
-    scene.write_text(json.dumps(doc))  # json writes nan and inf as NaN and Infinity
+    write_json(scene, doc)
     assert main([
         "simulate", str(scene), "--config", cfg_file, "--output", str(tmp_path / "cap.bin"),
     ]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "data error: " in err and message in err
     # reported as a scene fault, not as the int16 overflow a NaN would cause later
-    assert "scale" not in capsys.readouterr().err
+    assert "scale" not in err
+    assert outputs_written(tmp_path, "cap") == []
 
 
 def with_joint(**values):
@@ -757,26 +785,54 @@ def with_joint(**values):
     return doc
 
 
-@pytest.mark.parametrize("pred", [
-    [{"joints": 3, "area": 1}],
-    [with_joint(name=5)],
-    [with_joint(x="a")],
-    [with_joint(v=2)],
-    [dict(keypoint_doc(), area=0)],
-    5,
-    [keypoint_doc(), keypoint_doc()],
-    [with_joint(x=float("nan"))],
-    [with_joint(y=float("inf"))],
-    [dict(keypoint_doc(), area=float("nan"))],
-    [dict(keypoint_doc(), area=float("inf"))],
+def with_extra_joint(name):
+    """A keypoint frame with one more joint called ``name`` at (0, 0)."""
+    doc = keypoint_doc()
+    doc["joints"].append({"name": name, "x": 0.0, "y": 0.0, "v": 1})
+    return doc
+
+
+@pytest.mark.parametrize("frames, message", [
+    ([{"joints": 3, "area": 1}], "frame 0 joints: expected a list, got 3"),
+    ([with_joint(name=5)], "frame 0 joint 0 name: expected a string, got 5"),
+    ([with_joint(x="a")], "frame 0 joint head x: expected a finite number, got 'a'"),
+    ([with_joint(v=2)], "frame 0 joint head v: expected 0 or 1, got 2"),
+    ([dict(keypoint_doc(), area=0)], "frame 0 area: must be > 0"),
+    (5, "expected a keypoint frame or a list of frames"),
+    ([keypoint_doc(), keypoint_doc()], "frame count mismatch"),
+    ([with_joint(x=float("nan"))], "frame 0 joint head x: expected a finite number, got nan"),
+    ([with_joint(y=float("inf"))], "frame 0 joint head y: expected a finite number, got inf"),
+    ([dict(keypoint_doc(), area=float("nan"))], "frame 0 area: expected a finite number"),
+    ([dict(keypoint_doc(), area=float("inf"))], "frame 0 area: expected a finite number"),
+    ([with_joint(v=0.9)], "frame 0 joint head v: expected an integer, got 0.9"),
+    ([with_joint(v=True)], "frame 0 joint head v: expected an integer, got True"),
+    ([with_joint(v="1")], "frame 0 joint head v: expected an integer, got '1'"),
+    ([with_joint(x=True)], "frame 0 joint head x: expected a finite number, got True"),
+    ([with_joint(x="12")], "frame 0 joint head x: expected a finite number, got '12'"),
+    ([dict(keypoint_doc(), area="100")], "frame 0 area: expected a finite number, got '100'"),
+    ([with_joint(x=BIG)], "frame 0 joint head x: expected a finite number"),
+    ([dict(keypoint_doc(), area=BIG)], "frame 0 area: expected a finite number"),
+    ([with_extra_joint("head")], "frame 0 joint head name: repeated joint 'head'"),
+    ([with_extra_joint("nose")], "frame 0 joint 14 name: unknown joint 'nose'"),
+    ([dict(keypoint_doc(), frame=1.5)], "frame 0 frame: expected an integer, got 1.5"),
+    ([dict(keypoint_doc(), score=0.9)], "frame 0: unknown key 'score'"),
+    (json.dumps([keypoint_doc()]).replace('"area": 100.0', '"area": 100.0, "area": 1.0'),
+     "repeated keys ['area']"),
 ], ids=["joints_not_list", "name_not_str", "x_not_number", "v_2", "area_0", "json_number",
-        "frame_count", "x_nan", "y_inf", "area_nan", "area_inf"])
-def test_eval_malformed_frames_exit_3(tmp_path, pred):
-    (tmp_path / "pred.json").write_text(json.dumps(pred))
-    (tmp_path / "gt.json").write_text(json.dumps([keypoint_doc()]))
-    assert main([
-        "eval", str(tmp_path / "pred.json"), str(tmp_path / "gt.json"),
-    ]) == EXIT_DATA
+        "frame_count", "x_nan", "y_inf", "area_nan", "area_inf", "v_0_9", "v_true", "v_str",
+        "x_true", "x_str", "area_str", "x_401_digits", "area_401_digits", "repeated_joint",
+        "unknown_joint", "frame_float", "unknown_key", "repeated_key"])
+def test_eval_malformed_frames_exit_3(tmp_path, capsys, frames, message):
+    bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+    write_json(bad, frames)
+    # a prediction whose head is 5 px off: a ground truth that dropped the
+    # head would score OKS 1.0 against it
+    write_json(good, [keypoint_doc({"head": 5.0})])
+    for pred, gt in ((bad, good), (good, bad)):
+        assert main(["eval", str(pred), str(gt), "--output", str(tmp_path / "m.json")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error: " in err and message in err
+        assert outputs_written(tmp_path, "m") == []
 
 
 def test_simulate_int16_overflow_exits_3_and_writes_nothing(tmp_path, cfg_file, capsys):
@@ -887,3 +943,62 @@ def test_malformed_tensor_exits_3(tmp_path, shape, tag, payload):
     code = main(["fuse", str(good), str(bad), "--output", str(tmp_path / "o.tensor")])
     assert code == EXIT_DATA
     assert outputs_written(tmp_path) == []
+
+
+# JSON values of every kind: integers past 2**64 and past the float range,
+# NaN and +-Infinity, and objects whose keys are often scene or keypoint keys
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-BIG, BIG) | st.floats()
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["targets", "range", "snr_db", "joints", "name", "x", "v", "area"])
+        | st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+SCENE = {
+    "targets": [{"range": 3.0, "radial_velocity": 0.5, "azimuth": 0.3, "elevation": -0.2,
+                 "rcs_amplitude": 1.0}],
+    "snr_db": 20.0, "noise_seed": 1,
+}
+SCENE_FIELDS = [("targets",), ("snr_db",), ("noise_seed",), ("targets", 0)] + [
+    ("targets", 0, key) for key in SCENE["targets"][0]]
+FRAME_FIELDS = [("joints",), ("area",), ("frame",), ("joints", 0)] + [
+    ("joints", 0, key) for key in ("name", "x", "y", "v")]
+
+
+def assert_json_inputs_exit_0_or_3(tmp_path, cfg_file, scene, frames):
+    """simulate on ``scene``, and eval of ``frames`` against a valid ground
+    truth, each exit 0 or 3; exit 3 leaves no capture, .part or metrics file."""
+    write_json(tmp_path / "scene.json", scene)
+    write_json(tmp_path / "pred.json", frames)
+    write_json(tmp_path / "gt.json", [keypoint_doc()])
+    for argv in (
+        ["simulate", str(tmp_path / "scene.json"), "--config", cfg_file,
+         "--output", str(tmp_path / "out.bin")],
+        ["eval", str(tmp_path / "pred.json"), str(tmp_path / "gt.json"),
+         "--output", str(tmp_path / "out.json")],
+    ):
+        code = main(argv)
+        assert code in (EXIT_OK, EXIT_DATA)
+        written = [tmp_path / name for name in outputs_written(tmp_path, "out")]
+        assert code == EXIT_OK or written == []
+        for path in written:  # tmp_path is shared by every example
+            path.unlink()
+
+
+@FUZZ
+@given(doc=JSON_VALUES)
+def test_arbitrary_json_scene_or_keypoints_exits_0_or_3(tmp_path, cfg_file, doc):
+    assert_json_inputs_exit_0_or_3(tmp_path, cfg_file, doc, doc)
+
+
+@FUZZ
+@given(scene_field=st.sampled_from(SCENE_FIELDS), frame_field=st.sampled_from(FRAME_FIELDS),
+       value=JSON_VALUES)
+def test_json_field_replaced_exits_0_or_3(tmp_path, cfg_file, scene_field, frame_field, value):
+    scene, frame = json.loads(json.dumps(SCENE)), keypoint_doc()
+    for node, (*parents, last) in ((scene, scene_field), (frame, frame_field)):
+        for key in parents:
+            node = node[key]
+        node[last] = value
+    assert_json_inputs_exit_0_or_3(tmp_path, cfg_file, scene, [frame])
