@@ -125,12 +125,20 @@ def cmd_heatmap(args) -> int:
     return EXIT_OK
 
 
-def _probmap_frame(cubes, config, params, angle_fft, pe, args) -> list[tuple[str, object]]:
-    """One frame pair's probmap outputs as (path, array or sidecar bytes) pairs."""
+def _probmap_frame(
+    cubes, buffers, fft, config, params, angle_fft, pe, args
+) -> list[tuple[str, object]]:
+    """One frame pair's probmap outputs as (path, array or sidecar bytes) pairs.
+
+    The vertical cube's RD map is computed on the ``fft`` executor while the
+    main thread computes the horizontal one, each into its radar's buffer.
+    An error of the horizontal map is raised first, as in serial order.
+    """
     frame_index, vectors = cubes[0].frame_index, {}
-    # both RD maps first: running each radar's whole chain in turn page-faulted
-    # 3x as often in a compute-only loop over 256x64x12 frame pairs
-    for rd in [spectral.range_doppler_map(cube) for cube in cubes]:
+    # looked up when submitted, so a wrapper installed on the module is called
+    vertical = fft.submit(spectral.range_doppler_map, cubes[1], out=buffers[1])
+    horizontal = spectral.range_doppler_map(cubes[0], out=buffers[0])
+    for rd in (horizontal, vertical.result()):
         bins = cfar.select_range_bins(cfar.detect_2d(spectral.magnitude_map(rd), params))
         angle = spectral.P_AXIS_ANGLE[rd.radar_id]
         spectrum = probmap.angle_spectrum(rd, config, bins, angle, angle_fft=angle_fft)
@@ -182,23 +190,29 @@ def cmd_probmap(args) -> int:
         )
     params = cfar.CfarParams(guard=args.cfar_guard, reference=args.cfar_ref, pfa=args.pfa)
     pe = probmap.positional_encoding(angle_fft, angle_fft, args.pe_depth)
+    # one RD map buffer per radar, allocated once and reused by every frame
+    rd_shape = spectral.range_doppler_shape(
+        (config.num_adc_samples, config.num_chirps, config.num_virtual)
+    )
+    buffers = [np.empty(rd_shape, dtype=np.complex128) for _ in range(2)]
     # imported here: concurrent.futures pulls in logging, about 10 ms of
     # start-up that no other command needs
     from concurrent.futures import ThreadPoolExecutor
 
     inputs, outputs = [args.adc_h, args.adc_v], {}
-    # One writer thread, one frame behind: frame k's files are written and
-    # hashed while frame k+1 is computed. Frame k's write is waited on before
-    # frame k+1's is submitted and before any error of frame k+1 escapes, so
-    # the exit code and the files on disk are those of writing each frame in
-    # turn. The thread's first job hashes the input captures; frame 0's write
-    # queues behind it.
-    with ThreadPoolExecutor(max_workers=1) as writer:
+    # Two threads besides main: the FFT worker computes the vertical RD map
+    # of the frame the main thread is on, and the writer runs one frame
+    # behind: frame k's files are written and hashed while frame k+1 is
+    # computed. Frame k's write is waited on before frame k+1's is submitted
+    # and before any error of frame k+1 escapes, so the exit code and the
+    # files on disk are those of writing each frame in turn. The writer's
+    # first job hashes the input captures; frame 0's write queues behind it.
+    with ThreadPoolExecutor(max_workers=1) as writer, ThreadPoolExecutor(max_workers=1) as fft:
         inputs_hashed = writer.submit(lambda: {p: manifest.sha256_file(p) for p in inputs})
         pending = None
         try:
             for cubes in zip(cubes_h, cubes_v):
-                files = _probmap_frame(cubes, config, params, angle_fft, pe, args)
+                files = _probmap_frame(cubes, buffers, fft, config, params, angle_fft, pe, args)
                 if pending is not None:
                     previous, pending = pending, None  # so finally does not wait on it twice
                     outputs.update(previous.result())

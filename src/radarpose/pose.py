@@ -124,7 +124,9 @@ def oks(pred: KeypointSet, gt: KeypointSet, params: OksParams = OksParams()) -> 
     n_vis = int(vis.sum())
     if n_vis == 0:
         raise PoseError("undefined OKS: no visible ground-truth joint")
-    d2 = ((pred.xy - gt.xy) ** 2).sum(axis=1)
+    # a distance past float range is inf, and its joint's kernel term exactly 0
+    with np.errstate(over="ignore"):
+        d2 = ((pred.xy - gt.xy) ** 2).sum(axis=1)
     s2 = gt.area  # S = sqrt(area), so S^2 = area
     sig2 = np.array(params.sigmas) ** 2
     kernel = np.exp(-d2 / (2.0 * s2 * sig2))

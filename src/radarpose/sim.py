@@ -134,14 +134,26 @@ def _slow_time_step(config: RadarConfig) -> float:
 def scene_warnings(scene: SceneSpec, config: RadarConfig) -> list[str]:
     """Targets whose beat or Doppler frequency aliases under ``config``.
 
-    They depend on neither the radar nor the frame, so a capture needs them once.
+    They depend on neither the radar nor the frame, so a capture needs them
+    once. A target whose beat phase over a chirp or Doppler phase over a
+    frame is not finite under ``config`` raises SceneError instead, so it is
+    rejected before any frame is synthesized.
     """
     warnings = []
     t_c = _slow_time_step(config)
     for idx, tgt in enumerate(scene.targets):
-        if _beat_freq(tgt, config) >= config.sample_rate:
+        f_b, f_d = _beat_freq(tgt, config), _doppler_freq(tgt, config)
+        # synth_frame's largest phases, in cycles: 2*pi times each must be finite
+        for key, value, cycles in (
+            ("range", tgt.range_m, f_b / config.sample_rate * config.num_adc_samples),
+            ("radial_velocity", tgt.radial_velocity, f_d * t_c * config.num_chirps),
+        ):
+            if not math.isfinite(2 * math.pi * cycles):
+                raise SceneError(f"target {idx} {key}: {value} gives a phase that is not "
+                                 "finite under the radar config")
+        if f_b >= config.sample_rate:
             warnings.append(f"target {idx}: beat frequency aliases (range too large)")
-        if abs(_doppler_freq(tgt, config) * t_c) >= 0.5:
+        if abs(f_d * t_c) >= 0.5:
             warnings.append(f"target {idx}: Doppler aliases (velocity too large)")
     return warnings
 

@@ -131,18 +131,43 @@ def sample_doppler(
     return replace(rd, data=rd.data[:, idx])
 
 
-def range_doppler_map(cube: RadarCube) -> RangeDopplerMap:
+def range_doppler_shape(cube_shape: tuple[int, int, int]) -> tuple[int, int, int]:
+    """Shape of the range-Doppler map of an (N, M, V) cube: (next_pow2(N), next_pow2(M), V)."""
+    n, m, v = cube_shape
+    return next_pow2(n), next_pow2(m), v
+
+
+def range_doppler_map(cube: RadarCube, out: np.ndarray | None = None) -> RangeDopplerMap:
     """2-D FFT over fast time then slow time, per virtual antenna, at the
     default lengths (next power of two of each axis).
 
-    Output Doppler axis is centered.
+    Output Doppler axis is centered. The map is computed in ``out``, a
+    complex128 array of ``range_doppler_shape`` that a caller may reuse
+    from frame to frame, or in a fresh array when ``out`` is None. The
+    result equals ``fftshift(fft(fft(x, n=N, axis=0), n=M, axis=1), axes=1)``
+    bit for bit.
     """
-    n, m, _ = cube.data.shape
-    lengths = (next_pow2(n), next_pow2(m))
-    out = np.fft.fft(cube.data, n=lengths[0], axis=0)
-    out = np.fft.fft(out, n=lengths[1], axis=1)
-    out = np.fft.fftshift(out, axes=1)
-    return RangeDopplerMap(data=out, fft_lengths=lengths, radar_id=cube.radar_id)
+    m = cube.data.shape[1]
+    shape = range_doppler_shape(cube.data.shape)
+    if out is None:
+        out = np.empty(shape, dtype=np.complex128)
+    elif out.shape != shape or out.dtype != np.complex128:
+        raise SpectralError(
+            f"range-Doppler buffer is {out.dtype}{out.shape}, expected complex128{shape}"
+        )
+    # range FFT into the first m chirp columns; the zeroed rest pads the
+    # Doppler FFT, which then runs in place
+    np.fft.fft(cube.data, n=shape[0], axis=0, out=out[:, :m])
+    out[:, m:] = 0
+    np.fft.fft(out, axis=1, out=out)
+    # fftshift: swap the two Doppler halves (M is a power of two) through one
+    # half-size copy
+    half = shape[1] // 2
+    if half:
+        lower = out[:, :half].copy()
+        out[:, :half] = out[:, half:]
+        out[:, half:] = lower
+    return RangeDopplerMap(data=out, fft_lengths=shape[:2], radar_id=cube.radar_id)
 
 
 def magnitude_map(rd: RangeDopplerMap) -> np.ndarray:

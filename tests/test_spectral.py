@@ -13,6 +13,7 @@ from radarpose.spectral import (
     magnitude_map,
     next_pow2,
     range_doppler_map,
+    range_doppler_shape,
     sample_doppler,
 )
 
@@ -261,6 +262,49 @@ def test_range_doppler_matches_direct_dft(seed):
     rd = range_doppler_map(RadarCube(data=data, frame_index=0, radar_id="horizontal"))
     oracle = np.fft.fftshift(dft2_loops(data), axes=1)
     assert np.abs(rd.data - oracle).max() / np.abs(oracle).max() < 1e-9
+
+
+def rd_composition(x):
+    """The range-Doppler map as numpy's own FFTs compose it."""
+    n, m, _ = x.shape
+    rd = np.fft.fft(np.fft.fft(x, n=next_pow2(n), axis=0), n=next_pow2(m), axis=1)
+    return np.fft.fftshift(rd, axes=1)
+
+
+def contiguous_and_strided_cubes(rng, shape):
+    """A contiguous (n, m, v) cube, and a strided one: elevation row 0 of an
+    (n, m, 2v) cube on a v x 2 array."""
+    n, m, v = shape
+
+    def draw(s):
+        return rng.standard_normal(s) + 1j * rng.standard_normal(s)
+
+    strided = average_elevation(make_cube(draw((n, m, 2 * v))), grid_config(v, 2))
+    assert not strided.data.flags.c_contiguous
+    return make_cube(draw(shape)), strided
+
+
+@pytest.mark.parametrize("shape", [(64, 16, 8), (48, 12, 6), (33, 5, 3), (7, 9, 4), (1, 1, 2)])
+def test_range_doppler_into_a_reused_buffer_is_bitwise_numpy(rng, shape):
+    # NaN everywhere, so a cell the map does not overwrite shows
+    out = np.full(range_doppler_shape(shape), complex(np.nan, np.nan))
+    for cube in contiguous_and_strided_cubes(rng, shape):
+        expected = rd_composition(cube.data).tobytes()
+        assert range_doppler_map(cube).data.tobytes() == expected
+        rd = range_doppler_map(cube, out=out)
+        assert rd.data is out
+        assert out.tobytes() == expected
+
+
+@pytest.mark.parametrize("shape, dtype", [
+    ((5, 3, 2), complex), ((8, 4, 3), complex), ((8, 2, 2), complex),
+    ((8, 4, 2), np.complex64), ((8, 4, 2), float),
+])
+def test_range_doppler_rejects_a_buffer_of_the_wrong_shape_or_dtype(shape, dtype):
+    cube = make_cube(np.ones((5, 3, 2), dtype=complex))
+    assert range_doppler_shape((5, 3, 2)) == (8, 4, 2)
+    with pytest.raises(SpectralError, match="range-Doppler buffer"):
+        range_doppler_map(cube, out=np.zeros(shape, dtype=dtype))
 
 
 def test_magnitude_map_sums_antennas(rng):
