@@ -60,7 +60,7 @@ class RangeBinSet:
         return iter(self.bins)
 
 
-def cfar_alpha(params: CfarParams, n_ref) -> np.ndarray | float:
+def cfar_alpha(params: CfarParams, n_ref) -> np.ndarray:
     """Scaling factor for the configured false-alarm probability.
 
     Classical CA-CFAR closed form for exponential noise:
@@ -69,8 +69,7 @@ def cfar_alpha(params: CfarParams, n_ref) -> np.ndarray | float:
     n_ref = np.asarray(n_ref, dtype=np.float64)
     if np.any(n_ref < 1):
         raise CfarError("n_ref must be >= 1")
-    alpha = n_ref * (params.pfa ** (-1.0 / n_ref) - 1.0)
-    return float(alpha) if alpha.ndim == 0 else alpha
+    return n_ref * (params.pfa ** (-1.0 / n_ref) - 1.0)
 
 
 def _summed_area(arr: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ def write_manifest(
     seed: int | None = None,
     config_path: str | Path | None = None,
     extra: dict | None = None,
-) -> dict:
+) -> None:
     """Record command, content digests, seed and tool version for one run.
 
     ``outputs`` maps each path to the hex SHA-256 of the bytes written there;
@@ -52,4 +52,3 @@ def write_manifest(
     if extra:
         doc.update(extra)
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return doc

@@ -52,6 +52,7 @@ class KeypointSet:
     xy: np.ndarray          # (14, 2)
     visibility: np.ndarray  # (14,) of {0, 1}
     area: float             # bounding-box area in pixel^2
+    frame: int | None = None  # the frame number its file gave, if any
 
     @staticmethod
     def from_json(doc, where: str = "frame") -> "KeypointSet":
@@ -78,6 +79,7 @@ class KeypointSet:
             xy=np.array([[joints[n]["x"], joints[n]["y"]] for n in JOINT_NAMES], dtype=float),
             visibility=np.array([joints[n]["v"] for n in JOINT_NAMES]),
             area=float(frame["area"]),
+            frame=frame.get("frame"),
         )
 
     def to_json(self, frame: int = 0) -> dict:
@@ -178,4 +180,8 @@ def oks_per_frame(
 ) -> list[float]:
     if len(preds) != len(gts):
         raise PoseError(f"frame count mismatch: {len(preds)} predictions vs {len(gts)} truths")
+    for i, (p, g) in enumerate(zip(preds, gts)):
+        if None not in (p.frame, g.frame) and p.frame != g.frame:
+            raise PoseError(f"frame at position {i}: prediction is frame {p.frame}, "
+                            f"ground truth is frame {g.frame}")
     return [oks(p, g, params) for p, g in zip(preds, gts)]

@@ -5,7 +5,7 @@ sinusoidal positional encoding guided by those maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,16 +26,11 @@ class ProbMapError(ValueError):
 
 @dataclass(frozen=True)
 class RangeAngleVector:
-    """Nonnegative (range bin, angle bin) values for one radar.
-
-    ``empty_rows[i]`` marks rows that were identically zero and therefore
-    carry no probability mass after normalization.
-    """
+    """Nonnegative (range bin, angle bin) values for one radar."""
 
     values: np.ndarray
     bins: RangeBinSet
     angle_kind: str
-    empty_rows: tuple[bool, ...]
 
     def __post_init__(self):
         if self.values.ndim != 2 or self.values.shape[0] != len(self.bins):
@@ -45,6 +40,11 @@ class RangeAngleVector:
         if self.angle_kind not in (AZIMUTH, ELEVATION):
             raise ProbMapError(f"bad angle_kind {self.angle_kind!r}")
 
+    @property
+    def empty_rows(self) -> tuple[bool, ...]:
+        """Rows that are identically zero and so carry no probability mass."""
+        return tuple(bool(e) for e in ~self.values.any(axis=1))
+
 
 @dataclass(frozen=True)
 class ProbabilityMap:
@@ -52,7 +52,11 @@ class ProbabilityMap:
 
     values: np.ndarray  # (R_sel, A, E)
     range_bins: RangeBinSet
-    empty_rows: tuple[bool, ...] = ()
+
+    @property
+    def empty_rows(self) -> tuple[bool, ...]:
+        """Rows with no probability mass, read from the map."""
+        return tuple(bool(e) for e in ~self.values.any(axis=(1, 2)))
 
 
 @dataclass(frozen=True)
@@ -93,37 +97,15 @@ def angle_spectrum(
         raise ProbMapError(f"range bins {bad} outside [0, {n_range})")
     sub = average_elevation(rd, config).data[list(bins)]  # (R_sel, Doppler, P)
     spectra = np.fft.fft(sub, n=angle_len, axis=2)
-    values = np.abs(spectra).mean(axis=1)
-    empty = tuple(bool(r) for r in ~values.any(axis=1))
-    return RangeAngleVector(values=values, bins=bins, angle_kind=axis, empty_rows=empty)
+    return RangeAngleVector(values=np.abs(spectra).mean(axis=1), bins=bins, angle_kind=axis)
 
 
 def normalize(v: RangeAngleVector) -> RangeAngleVector:
-    """Per-range-row L1 normalization; all-zero rows stay zero and are flagged."""
+    """Per-range-row L1 normalization; all-zero rows stay zero (and empty)."""
     if np.any(v.values < 0):
         raise ProbMapError("negative values; angle spectra must be magnitudes")
     norms = v.values.sum(axis=1)
-    empty = norms == 0
-    safe = np.where(empty, 1.0, norms)
-    return RangeAngleVector(
-        values=v.values / safe[:, None],
-        bins=v.bins,
-        angle_kind=v.angle_kind,
-        empty_rows=tuple(bool(e) for e in empty),
-    )
-
-
-def _expand_to(v: RangeAngleVector, union: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of v on the union bin set; missing rows become uniform."""
-    a = v.values.shape[1]
-    out = np.full((len(union), a), 1.0 / a)
-    empty = np.zeros(len(union), dtype=bool)
-    lookup = {b: i for i, b in enumerate(v.bins)}
-    for row, b in enumerate(union):
-        if b in lookup:
-            out[row] = v.values[lookup[b]]
-            empty[row] = v.empty_rows[lookup[b]]
-    return out, empty
+    return replace(v, values=v.values / np.where(norms == 0, 1.0, norms)[:, None])
 
 
 def probability_map(v_ra: RangeAngleVector, v_re: RangeAngleVector) -> ProbabilityMap:
@@ -131,7 +113,9 @@ def probability_map(v_ra: RangeAngleVector, v_re: RangeAngleVector) -> Probabili
 
     Bin sets from the two radars may differ: the map covers their union, and
     a radar's missing row is replaced by the uniform distribution (keeps unit
-    sum). Each row must sum to 1 within 1e-9, or to 0 if flagged empty.
+    sum). Each row must sum to 1 within 1e-9, or be all zero; a zero row
+    stays zero in the product, so the map's ``empty_rows`` are the union of
+    the two vectors'.
     """
     for v in (v_ra, v_re):
         target = np.where(v.empty_rows, 0.0, 1.0)
@@ -142,14 +126,10 @@ def probability_map(v_ra: RangeAngleVector, v_re: RangeAngleVector) -> Probabili
             f"expected azimuth x elevation, got {v_ra.angle_kind} x {v_re.angle_kind}"
         )
     union = tuple(sorted(set(v_ra.bins) | set(v_re.bins)))
-    bin_set = RangeBinSet(bins=union)
-    az, az_empty = _expand_to(v_ra, union)
-    el, el_empty = _expand_to(v_re, union)
-    values = az[:, :, None] * el[:, None, :]
-    empty = az_empty | el_empty
-    return ProbabilityMap(
-        values=values, range_bins=bin_set, empty_rows=tuple(bool(e) for e in empty)
-    )
+    az, el = (np.full((len(union), v.values.shape[1]), 1 / v.values.shape[1]) for v in (v_ra, v_re))
+    az[np.searchsorted(union, v_ra.bins.bins)] = v_ra.values
+    el[np.searchsorted(union, v_re.bins.bins)] = v_re.values
+    return ProbabilityMap(values=az[:, :, None] * el[:, None, :], range_bins=RangeBinSet(union))
 
 
 def positional_encoding(a_bins: int, e_bins: int, depth: int = PE_DEPTH) -> PositionalEncoding:

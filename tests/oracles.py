@@ -179,3 +179,31 @@ def ap_thresholds_loops(oks_values):
         table[t] = sum(1 for v in oks_values if v >= t) / len(oks_values)
     ap = sum(table.values()) / len(table)
     return ap, table
+
+
+def union_rows_loops(bins, values, union):
+    """Rows of one radar's vector placed on the union bin set, one dict
+    lookup per union row: a missing row is uniform over the angle bins and
+    not empty, a present row is copied with its all-zero flag.
+
+    Returns (rows, empty) with rows of shape (len(union), A).
+    """
+    a_ = values.shape[1]
+    lookup = {}
+    for i, b in enumerate(bins):
+        lookup[b] = i
+    rows = np.zeros((len(union), a_))
+    empty = np.zeros(len(union), dtype=bool)
+    for row, b in enumerate(union):
+        if b in lookup:
+            src = values[lookup[b]]
+            all_zero = True
+            for j in range(a_):
+                rows[row, j] = src[j]
+                if src[j] != 0.0:
+                    all_zero = False
+            empty[row] = all_zero
+        else:
+            for j in range(a_):
+                rows[row, j] = 1.0 / a_
+    return rows, empty

@@ -694,6 +694,43 @@ def test_eval_known_oks_fixture(tmp_path):
     assert metrics["AP"] == 0.5
 
 
+def two_pose_frames(numbers):
+    """Poses A and B (B's head 5 px off) as two keypoint frames, numbered
+    ``numbers``; a number None leaves its frame unnumbered."""
+    frames = [keypoint_doc(), keypoint_doc({"head": 5.0})]
+    for frame, number in zip(frames, numbers):
+        del frame["frame"]
+        if number is not None:
+            frame["frame"] = number
+    return frames
+
+
+def test_eval_swapped_frame_numbers_exit_3_and_write_nothing(tmp_path, capsys):
+    pred, gt = tmp_path / "pred.json", tmp_path / "gt.json"
+    write_json(gt, two_pose_frames([0, 1]))
+    write_json(pred, two_pose_frames([0, 1])[::-1])  # poses B, A numbered 1, 0
+    assert main(["eval", str(pred), str(gt), "--output", str(tmp_path / "m.json")]) == EXIT_DATA
+    assert ("frame at position 0: prediction is frame 1, ground truth is frame 0"
+            in capsys.readouterr().err)
+    assert outputs_written(tmp_path, "m") == []
+
+
+def test_eval_pairs_by_position_unless_both_files_number_the_frame(tmp_path):
+    # B, A against A, B: only an unnumbered file pairs them, by position
+    pred, gt = tmp_path / "pred.json", tmp_path / "gt.json"
+    metrics = []
+    for pred_numbers, gt_numbers in (([None, None], [None, None]), ([None, None], [0, 1]),
+                                     ([1, 0], [None, None])):
+        write_json(pred, two_pose_frames(pred_numbers)[::-1])
+        write_json(gt, two_pose_frames(gt_numbers))
+        out = tmp_path / f"metrics-{len(metrics)}.json"
+        assert main(["eval", str(pred), str(gt), "--output", str(out)]) == EXIT_OK
+        metrics.append(json.loads(out.read_text()))
+    assert metrics[0] == metrics[1] == metrics[2]
+    oks_b_on_a = metrics[0]["per_frame_oks"][0]
+    assert metrics[0]["per_frame_oks"] == [oks_b_on_a, oks_b_on_a] and oks_b_on_a < 1.0
+
+
 @pytest.mark.filterwarnings("error")  # numpy's RuntimeWarnings included
 def test_eval_prediction_past_float_range_scores_that_joint_0(tmp_path):
     # the head's squared distance overflows float64; its OKS term is 0, as

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from oracles import broadcast_add_loops, mean_axis1_loops, outer_product_loops
+from oracles import (
+    broadcast_add_loops, mean_axis1_loops, outer_product_loops, union_rows_loops,
+)
 from radarpose.adc import RadarCube
 from radarpose.cfar import CfarParams, RangeBinSet, detect_2d, select_range_bins
 from radarpose.config import RadarConfig
@@ -19,15 +21,10 @@ from radarpose.sim import SceneSpec, Target, expected_bins, synth_frame
 from radarpose.spectral import average_elevation, magnitude_map, next_pow2, range_doppler_map
 
 
-def vec(values, kind="azimuth", bins=None, empty=None):
+def vec(values, kind="azimuth", bins=None):
     values = np.asarray(values, dtype=float)
     bins = RangeBinSet(bins=tuple(bins) if bins is not None else tuple(range(values.shape[0])))
-    return RangeAngleVector(
-        values=values,
-        bins=bins,
-        angle_kind=kind,
-        empty_rows=tuple(empty) if empty else tuple([False] * values.shape[0]),
-    )
+    return RangeAngleVector(values=values, bins=bins, angle_kind=kind)
 
 
 # ---------------------------------------------------------------- normalize
@@ -115,6 +112,43 @@ def test_union_fills_missing_rows_uniformly():
     np.testing.assert_allclose(p.values.sum(axis=(1, 2)), 1.0)
 
 
+def random_rows(rng, bins, width, kind):
+    """Nonnegative rows for ``bins``, about a third of them all zero."""
+    values = rng.random((len(bins), width))
+    values[rng.random(len(bins)) < 0.3] = 0.0
+    return normalize(vec(values, kind=kind, bins=bins))
+
+
+UNION_LAYOUTS = {  # slices of a shuffled bin pool: (azimuth bins, elevation bins)
+    "disjoint": (slice(0, 5), slice(5, 9)),
+    "overlapping": (slice(0, 6), slice(3, 10)),
+    "no_azimuth": (slice(0, 0), slice(0, 4)),
+    "no_rows": (slice(0, 0), slice(0, 0)),
+    "same": (slice(0, 5), slice(0, 5)),
+}
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("layout", UNION_LAYOUTS)
+def test_union_fill_matches_loop_oracle(seed, layout):
+    rng = np.random.default_rng(seed)
+    a, e = rng.integers(1, 9, size=2)
+    e += a == e
+    pool = rng.permutation(40)
+    az_bins, el_bins = (sorted(int(b) for b in pool[s]) for s in UNION_LAYOUTS[layout])
+    az = random_rows(rng, az_bins, a, "azimuth")
+    el = random_rows(rng, el_bins, e, "elevation")
+    p = probability_map(az, el)
+
+    union = sorted(set(az_bins) | set(el_bins))
+    az_rows, az_empty = union_rows_loops(az_bins, az.values, union)
+    el_rows, el_empty = union_rows_loops(el_bins, el.values, union)
+    assert list(p.range_bins) == union
+    assert p.values.shape == (len(union), a, e)
+    assert p.values.tobytes() == outer_product_loops(az_rows, el_rows).tobytes()
+    assert p.empty_rows == tuple(bool(x) for x in az_empty | el_empty)
+
+
 def test_requires_normalized_and_matching_kinds(rng):
     raw = vec(rng.random((2, 3)))
     el = normalize(vec(rng.random((2, 3)), kind="elevation"))
@@ -122,9 +156,7 @@ def test_requires_normalized_and_matching_kinds(rng):
         probability_map(raw, el)
     with pytest.raises(ProbMapError, match="normalized"):
         probability_map(vec([[0.5, 0.5 + 1e-8], [1.0, 0.0]]), el)
-    with pytest.raises(ProbMapError, match="normalized"):
-        probability_map(vec([[0.0, 0.0], [1.0, 0.0]]), el)  # zero row not flagged empty
-    p = probability_map(vec([[0.0, 0.0], [1.0, 0.0]], empty=[True, False]), el)
+    p = probability_map(vec([[0.0, 0.0], [1.0, 0.0]]), el)  # a zero row is an empty row
     assert p.empty_rows == (True, False)
     with pytest.raises(ProbMapError, match="azimuth"):
         probability_map(el, el)
@@ -186,10 +218,8 @@ def make_prob(rng, r=2, a=4, e=3):
 
 
 def test_encode_zero_map_equals_pe_stack():
-    p = ProbabilityMap(
-        values=np.zeros((2, 4, 3)), range_bins=RangeBinSet(bins=(0, 1)),
-        empty_rows=(True, True),
-    )
+    p = ProbabilityMap(values=np.zeros((2, 4, 3)), range_bins=RangeBinSet(bins=(0, 1)))
+    assert p.empty_rows == (True, True)
     pe = positional_encoding(4, 3, depth=8)
     enc = encode_map(p, pe)
     for r in range(2):
