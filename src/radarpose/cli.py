@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -46,43 +47,77 @@ def cmd_simulate(args) -> int:
     scene = sim.SceneSpec.load(args.scene)
     if args.seed is not None:
         scene = sim.SceneSpec(targets=scene.targets, snr_db=scene.snr_db, noise_seed=args.seed)
-    layout = adc.AdcLayout()
-    outputs = _sim_outputs(args)
     for w in sim.scene_warnings(scene, config):
         print(f"warning: {w}", file=sys.stderr)
-    # frames stream into <output>.part files, renamed only once every frame
-    # of every radar is written, so a failing frame leaves no capture behind;
-    # each capture's digest is taken from the frames as they are written
+    write_manifest(
+        _manifest_path(args.output),
+        command="simulate",
+        inputs={args.scene: None},
+        outputs=_write_captures(args, scene, config),
+        seed=scene.noise_seed,
+        config_path=args.config,
+        extra={"frames": args.frames, "scale": args.scale},
+    )
+    return EXIT_OK
+
+
+def _write_captures(args, scene, config) -> dict[str, str]:
+    """Write simulate's captures and return each path's SHA-256, taken from
+    the frames as they are written.
+
+    Frames stream into <output>.part files, renamed only once every frame of
+    every radar is written, so a failing frame leaves no capture behind.
+    With --radar both the vertical radar's frames are made on one worker
+    thread while the main thread makes the horizontal ones. Errors are those
+    of the serial loop: the horizontal radar's first, and a horizontal error
+    stops the worker before its next frame.
+    """
+    layout = adc.AdcLayout()
+    outputs = _sim_outputs(args)
     parts = [f"{path}.part" for _, path in outputs]
-    digests = {}
+    # Every buffer of the run is allocated here, on the main thread: the RD
+    # vectors both radars share and, per radar, the buffers its frames are
+    # synthesized and quantised through. glibc gives the worker thread its
+    # own malloc arena, which keeps the pages of freed frame-sized
+    # temporaries resident, so the worker allocates none.
+    range_doppler = sim.range_doppler_vectors(scene, config)
+    jobs = [(radar_id, part, sim.frame_buffers(config), adc.frame_buffers(layout, config))
+            for (radar_id, _), part in zip(outputs, parts)]
+    stop = threading.Event()
+
+    def write_radar(radar_id, part, synth_buffers, adc_buffers) -> str:
+        lanes, block = adc_buffers
+        digest = hashlib.sha256()
+        with open(part, "wb") as fh:
+            for i in range(args.frames):
+                if stop.is_set():
+                    break
+                cube = sim.synth_frame(scene, config, radar_id=radar_id, frame_index=i,
+                                       range_doppler=range_doppler, buffers=synth_buffers)
+                np.multiply(cube.data, args.scale, out=cube.data)
+                adc.quantize_frame(cube, layout, config, lanes[0], block)
+                fh.write(lanes)
+                digest.update(lanes)
+        return digest.hexdigest()
+
+    from concurrent.futures import ThreadPoolExecutor  # see cmd_probmap
+
     try:
-        for (radar_id, path), part in zip(outputs, parts):
-            digest = hashlib.sha256()
-            with open(part, "wb") as fh:
-                for i in range(args.frames):
-                    cube = sim.synth_frame(scene, config, radar_id=radar_id, frame_index=i)
-                    # the cube's array is fresh and owned here: scale it in place
-                    np.multiply(cube.data, args.scale, out=cube.data)
-                    frame = adc.serialize_cubes([cube], layout, config)
-                    fh.write(frame)
-                    digest.update(frame)
-            digests[path] = digest.hexdigest()
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            vertical = [worker.submit(write_radar, *job) for job in jobs[1:]]
+            try:
+                digests = [write_radar(*jobs[0])]
+            except BaseException:
+                stop.set()  # leaving the with block then waits for the worker
+                raise
+            digests += [future.result() for future in vertical]
     except BaseException:
         for part in parts:
             Path(part).unlink(missing_ok=True)
         raise
     for (_, path), part in zip(outputs, parts):
         os.replace(part, path)
-    write_manifest(
-        _manifest_path(args.output),
-        command="simulate",
-        inputs={args.scene: None},
-        outputs=digests,
-        seed=scene.noise_seed,
-        config_path=args.config,
-        extra={"frames": args.frames, "scale": args.scale},
-    )
-    return EXIT_OK
+    return {path: digest for (_, path), digest in zip(outputs, digests)}
 
 
 def _sim_outputs(args):
@@ -196,7 +231,7 @@ def cmd_probmap(args) -> int:
     )
     buffers = [np.empty(rd_shape, dtype=np.complex128) for _ in range(2)]
     # imported here: concurrent.futures pulls in logging, about 10 ms of
-    # start-up that no other command needs
+    # start-up that the commands without threads do not need
     from concurrent.futures import ThreadPoolExecutor
 
     inputs, outputs = [args.adc_h, args.adc_v], {}

@@ -82,9 +82,10 @@ class KeypointSet:
             frame=frame.get("frame"),
         )
 
-    def to_json(self, frame: int = 0) -> dict:
+    def to_json(self) -> dict:
+        """The frame as ``from_json`` reads it; ``frame`` is left out when unnumbered."""
         return {
-            "frame": frame,
+            **({} if self.frame is None else {"frame": self.frame}),
             "joints": [
                 {"name": n, "x": float(x), "y": float(y), "v": int(v)}
                 for n, (x, y), v in zip(JOINT_NAMES, self.xy, self.visibility)

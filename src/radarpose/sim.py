@@ -15,14 +15,20 @@ exponential factors into three 1-D phasors per target t:
 
     cube[n, m, v] = sum_t A_t * r_t[n] * d_t[m] * s_t[v]
 
-This is the (N*M x T) . (T x V) matrix product of the range-Doppler phasors
-r_t[n]*d_t[m] and the steering phasors s_t[v], built from 3*T short 1-D
-exponentials instead of T complex exponentials over the whole N x M x V grid.
-``synth_frame`` evaluates it one antenna column at a time, with the sum over
-targets in scene order, so a scene's cube is bitwise the sum of its targets'
-cubes. Noise is then added in place, sigma*a to the real and sigma*b to the
-imaginary part, from two ``standard_normal`` draws (a first); this gives the
-same values as adding sigma * (a + 1j*b) without the complex temporaries.
+This is the (N*M x T) . (T x V) matrix product of the range-Doppler (RD)
+vectors r_t[n]*d_t[m] and the steering phasors s_t[v], built from 3*T short
+1-D exponentials instead of T complex exponentials over the whole N x M x V
+grid. The RD vectors depend on neither the radar nor the frame, so a run
+computes them once (``range_doppler_vectors``) and shares them between its
+radars; only the steering phasors are per radar. ``synth_frame`` evaluates
+the product one antenna column at a time into a (V, N*M) buffer, with the
+sum over targets in scene order, so a scene's cube is bitwise the sum of its
+targets' cubes; the cube is that buffer viewed as (N, M, V), with no
+transposed copy. Noise is then added in place, sigma*a to the real and
+sigma*b to the imaginary part, from two ``standard_normal`` streams (a
+first) drawn a block of sample rows at a time in stream order; this gives
+the same values as two whole-cube draws and adding sigma * (a + 1j*b),
+without the whole-cube or complex temporaries.
 """
 
 from __future__ import annotations
@@ -158,49 +164,94 @@ def scene_warnings(scene: SceneSpec, config: RadarConfig) -> list[str]:
     return warnings
 
 
+NOISE_ROWS = 16  # sample rows of noise drawn per block
+
+
+def range_doppler_vectors(scene: SceneSpec, config: RadarConfig) -> np.ndarray:
+    """The (T, N*M) RD vectors A_t * r_t[n] * d_t[m] of the scene's targets.
+
+    They depend on neither the radar nor the frame, so a run computes them
+    once and hands them to every ``synth_frame`` call.
+    """
+    n = np.arange(config.num_adc_samples)
+    m = np.arange(config.num_chirps)
+    t_c = _slow_time_step(config)
+    vectors = np.empty((len(scene.targets), n.size * m.size), dtype=np.complex128)
+    for row, tgt in zip(vectors, scene.targets):
+        f_b = _beat_freq(tgt, config)
+        f_d = _doppler_freq(tgt, config)
+        r = tgt.rcs_amplitude * np.exp(2j * np.pi * (f_b * n / config.sample_rate))
+        d = np.exp(2j * np.pi * (f_d * t_c * m))
+        np.outer(r, d, out=row.reshape(n.size, m.size))
+    return vectors
+
+
+def frame_buffers(config: RadarConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What ``synth_frame`` writes one frame through: the (V, N*M) complex
+    columns its cube views, one column's product temporary, and a float64
+    block of NOISE_ROWS sample rows for the noise draws."""
+    n_count, m_count, v_count = config.num_adc_samples, config.num_chirps, config.num_virtual
+    return (
+        np.empty((v_count, n_count * m_count), dtype=np.complex128),
+        np.empty(n_count * m_count, dtype=np.complex128),
+        np.empty((min(NOISE_ROWS, n_count), m_count, v_count)),
+    )
+
+
 def synth_frame(
     scene: SceneSpec,
     config: RadarConfig,
     radar_id: str = HORIZONTAL,
     frame_index: int = 0,
+    *,
+    range_doppler: np.ndarray | None = None,
+    buffers: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> RadarCube:
     """Generate one noisy frame; deterministic given (scene, config, seed).
 
     The noise RNG is seeded per (noise_seed, frame_index, radar) so every
     frame and radar draws an independent but reproducible stream.
+
+    A run passes the scene's ``range_doppler_vectors`` and, per radar, one
+    set of ``frame_buffers``, so a frame allocates nothing of its size. The
+    cube then views ``buffers``, and the next call with them overwrites it.
     """
     n_count, m_count, v_count = config.num_adc_samples, config.num_chirps, config.num_virtual
-    n = np.arange(n_count)
-    m = np.arange(m_count)
+    if range_doppler is None:
+        range_doppler = range_doppler_vectors(scene, config)
+    columns, product, noise = frame_buffers(config) if buffers is None else buffers
     p, q = np.unravel_index(np.arange(v_count), config.array_shape)
-    t_c = _slow_time_step(config)
     p_sees_azimuth = P_AXIS_ANGLE.get(radar_id) == AZIMUTH
-    range_doppler, steering = [], []
+    steering = []
     for tgt in scene.targets:
-        f_b = _beat_freq(tgt, config)
-        f_d = _doppler_freq(tgt, config)
         a1, a2 = (tgt.azimuth, tgt.elevation) if p_sees_azimuth else (tgt.elevation, tgt.azimuth)
-        r = tgt.rcs_amplitude * np.exp(2j * np.pi * (f_b * n / config.sample_rate))
-        d = np.exp(2j * np.pi * (f_d * t_c * m))
-        range_doppler.append(np.outer(r, d).ravel())
         steering.append(
             np.exp(2j * np.pi * (config.antenna_spacing * (p * math.sin(a1) + q * math.sin(a2))))
         )
     # the (N*M x T) @ (T x V) product, one antenna column at a time with the
     # target sum in scene order: BLAS would reorder that sum, and a scene would
     # no longer be bitwise the sum of its targets' cubes
-    columns = np.zeros((v_count, n_count * m_count), dtype=np.complex128)
+    columns.fill(0)
     for v, column in enumerate(columns):
         for rd, s in zip(range_doppler, steering):
-            column += rd * s[v]
-    data = np.ascontiguousarray(columns.T).reshape(n_count, m_count, v_count)
+            column += np.multiply(rd, s[v], out=product)
     sigma = scene.noise_sigma
     if sigma is not None:
         rng = np.random.default_rng(
             [scene.noise_seed, frame_index, 0 if radar_id == HORIZONTAL else 1]
         )
-        data.real += sigma * rng.standard_normal(data.shape)
-        data.imag += sigma * rng.standard_normal(data.shape)
+        # the whole real stream, then the whole imaginary one, NOISE_ROWS rows at a time
+        for part in (columns.real, columns.imag):
+            for start in range(0, n_count, len(noise)):
+                block = noise[: n_count - start]
+                rng.standard_normal(out=block)
+                block *= sigma
+                # antenna v's draws go to column v, one 1-D add each: numpy
+                # allocates buffers for a multi-dimensional strided add
+                for column, draws in zip(part[:, start * m_count:], block.reshape(-1, v_count).T):
+                    column[: len(draws)] += draws
+    # a view: column v's element n*M + m is sample (n, m, v)
+    data = columns.T.reshape(n_count, m_count, v_count)
     return RadarCube(data=data, frame_index=frame_index, radar_id=radar_id)
 
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from oracles import cube_reindex_loops, decode_adc_bytes
 from radarpose.adc import (
+    QUANTIZE_GROUPS,
     AdcError,
     AdcLayout,
     RadarCube,
@@ -132,6 +133,22 @@ def test_serialize_rejects_values_outside_int16(small_config, value, peak):
     bad = RadarCube(data=data, frame_index=1, radar_id="horizontal")
     with pytest.raises(AdcError, match=f"frame 1: peak value {peak} .*int16.*scale"):
         serialize_cubes([ok, bad], AdcLayout(), small_config)
+
+
+def test_quantize_blocks_cover_every_sample_and_report_the_frame_peak(rng):
+    # two whole blocks of sample rows and a partial third
+    cfg = RadarConfig(num_adc_samples=2 * (2 * QUANTIZE_GROUPS + 3), num_chirps=2, num_tx=2,
+                      num_rx=2, sample_rate=1e7, chirp_slope=3e13, carrier_freq=7.7e10)
+    raw = encode_int16(rng.integers(-32768, 32768, size=frame_byte_size(AdcLayout(), cfg) // 2))
+    (cube,) = parse_cubes(raw, AdcLayout(), cfg)
+    assert serialize_cubes([cube], AdcLayout(), cfg) == raw
+    for samples, values, peak in (([0], [40000], "40000"), ([-1], [40000j], "40000"),
+                                  ([0, -1], [40000, -50000j], "-50000")):
+        data = cube.data.copy()
+        data[samples, 1, 2] = values
+        bad = RadarCube(data=data, frame_index=0, radar_id="horizontal")
+        with pytest.raises(AdcError, match=f"frame 0: peak value {peak} "):
+            serialize_cubes([bad], AdcLayout(), cfg)
 
 
 def test_cube_round_trip(small_config, rng):

@@ -12,7 +12,7 @@ from radarpose import adc, manifest, probmap, sim, spectral, tensorio
 from radarpose.cli import EXIT_CONTRACT, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from radarpose.config import config_text, load_config
 from radarpose.manifest import sha256_file
-from radarpose.pose import DEFAULT_SIGMAS, JOINT_NAMES
+from radarpose.pose import DEFAULT_SIGMAS, JOINT_NAMES, load_keypoint_frames
 from radarpose.tensorio import MAGIC, read_tensor, write_tensor
 
 CONFIG = """
@@ -575,10 +575,11 @@ def test_simulate_memory_is_bounded_by_a_few_frames(tmp_path):
     assert main(argv[:-1] + ["1"]) == EXIT_OK
     code, peak = traced_peak(argv)
     assert code == EXIT_OK
-    # one cube, its noise draws and int16 lanes, plus the one reused 1 MiB
-    # buffer the manifest reads the scene and config through (the captures'
-    # digests come from the frames as written); holding the whole capture as
-    # cubes would take 2 x 64 cubes and their scaled copies
+    # per radar one cube, its blocks of noise and rounding and its int16
+    # lanes, freed before the one reused 1 MiB buffer the manifest reads the
+    # scene and config through (the captures' digests come from the frames as
+    # written); holding the whole capture as cubes would take 2 x 64 cubes
+    # and their scaled copies
     assert peak < (1 << 20) + 8 * CUBE_BYTES
 
 
@@ -729,6 +730,18 @@ def test_eval_pairs_by_position_unless_both_files_number_the_frame(tmp_path):
     assert metrics[0] == metrics[1] == metrics[2]
     oks_b_on_a = metrics[0]["per_frame_oks"][0]
     assert metrics[0]["per_frame_oks"] == [oks_b_on_a, oks_b_on_a] and oks_b_on_a < 1.0
+
+
+def test_eval_keypoint_frames_read_and_written_back_keep_their_numbers(tmp_path):
+    gt, pred = tmp_path / "gt.json", tmp_path / "pred.json"
+    write_json(gt, two_pose_frames([0, 1]))
+    frames = load_keypoint_frames(gt)
+    assert [kp.frame for kp in frames] == [0, 1]
+    write_json(pred, [kp.to_json() for kp in frames])
+    assert [kp.frame for kp in load_keypoint_frames(pred)] == [0, 1]
+    out = tmp_path / "m.json"
+    assert main(["eval", str(pred), str(gt), "--output", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["per_frame_oks"] == [1.0, 1.0]
 
 
 @pytest.mark.filterwarnings("error")  # numpy's RuntimeWarnings included
@@ -949,10 +962,10 @@ def test_simulate_failing_frame_leaves_no_capture(tmp_path, cfg_file, monkeypatc
     scene = write_scene(tmp_path, targets=[{"range": 5.0}], snr_db=20)
     original = sim.synth_frame
 
-    def failing(spec, config, radar_id="horizontal", frame_index=0):
+    def failing(spec, config, radar_id="horizontal", frame_index=0, **kwargs):
         if radar_id == "vertical" and frame_index == 2:
             raise sim.SimError("injected failure")
-        return original(spec, config, radar_id=radar_id, frame_index=frame_index)
+        return original(spec, config, radar_id=radar_id, frame_index=frame_index, **kwargs)
 
     monkeypatch.setattr(sim, "synth_frame", failing)
     (tmp_path / "cap.h.bin").write_bytes(b"old")
@@ -963,6 +976,113 @@ def test_simulate_failing_frame_leaves_no_capture(tmp_path, cfg_file, monkeypatc
     ]) == EXIT_CONTRACT
     # no partial capture, and the capture that was there is untouched
     assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def planar_simulate(tmp_path, radar="both", output="cap.bin", frames=3):
+    """Config path, scene path and the argv of a noisy three-target run of
+    ``simulate`` on a 4 x 2 planar array (64 x 16 x 8: several noise and
+    quantisation blocks per frame) at a scale other than the default."""
+    cfg = tmp_path / "planar.cfg"
+    cfg.write_text(
+        CONFIG.replace("num_adc_samples = 32", "num_adc_samples = 64")
+        .replace("num_chirps = 8", "num_chirps = 16")
+        .replace("num_rx = 2", "num_rx = 4")
+        + "azimuth_antennas = 4\nelevation_antennas = 2\n"
+    )
+    scene = write_scene(tmp_path, targets=[
+        {"range": 3.0, "azimuth": 0.3, "elevation": -0.2, "radial_velocity": 0.1},
+        {"range": 4.5, "azimuth": -0.4, "elevation": 0.1, "rcs_amplitude": 0.6},
+        {"range": 6.0, "azimuth": 0.1, "elevation": 0.3, "rcs_amplitude": 0.3},
+    ], snr_db=15, seed=4)
+    argv = ["simulate", scene, "--config", str(cfg), "--output", str(tmp_path / output),
+            "--radar", radar, "--frames", str(frames), "--scale", "3000"]
+    return str(cfg), scene, argv
+
+
+def test_simulate_both_equals_the_serial_reference(tmp_path):
+    cfg, scene, argv = planar_simulate(tmp_path, frames=4)
+    assert main(argv) == EXIT_OK
+    config, spec = load_config(cfg), sim.SceneSpec.load(scene)
+    for radar_id in ("horizontal", "vertical"):
+        want = b""
+        for i in range(4):
+            cube = sim.synth_frame(spec, config, radar_id=radar_id, frame_index=i)
+            scaled = adc.RadarCube(data=cube.data * 3000, frame_index=i, radar_id=radar_id)
+            want += adc.serialize_cubes([scaled], adc.AdcLayout(), config)
+        assert (tmp_path / f"cap.{radar_id[0]}.bin").read_bytes() == want, radar_id
+
+
+def record_synth_threads(monkeypatch):
+    """Replace sim.synth_frame by a wrapper recording, per radar, the threads
+    that synthesize its frames and the thread counts seen while they do."""
+    threads, counts = {}, set()
+    original = sim.synth_frame
+
+    def recording(spec, config, radar_id="horizontal", frame_index=0, **kwargs):
+        threads.setdefault(radar_id, set()).add(threading.get_ident())
+        counts.add(threading.active_count())
+        return original(spec, config, radar_id=radar_id, frame_index=frame_index, **kwargs)
+
+    monkeypatch.setattr(sim, "synth_frame", recording)
+    return threads, counts
+
+
+def test_simulate_both_makes_the_vertical_frames_on_one_worker_and_leaves_none(
+    tmp_path, monkeypatch
+):
+    threads, counts = record_synth_threads(monkeypatch)
+    before = threading.active_count()
+    assert main(planar_simulate(tmp_path)[2]) == EXIT_OK
+    assert threads["horizontal"] == {threading.get_ident()}
+    assert len(threads["vertical"]) == 1 and threading.get_ident() not in threads["vertical"]
+    assert max(counts) <= before + 1
+    assert threading.active_count() == before
+    # a one-radar run makes its frames on the main thread and starts no worker
+    threads.clear()
+    counts.clear()
+    assert main(planar_simulate(tmp_path, "vertical", "only_v.bin")[2]) == EXIT_OK
+    assert threads == {"vertical": {threading.get_ident()}} and counts == {before}
+    assert (tmp_path / "only_v.bin").read_bytes() == (tmp_path / "cap.v.bin").read_bytes()
+
+
+@pytest.mark.parametrize("radars, reported", [
+    (("vertical",), "vertical frame 1 fails"),
+    (("horizontal", "vertical"), "horizontal frame 1 fails"),
+    (("horizontal",), "horizontal frame 1 fails"),
+])
+def test_simulate_both_reports_errors_in_serial_order(
+    tmp_path, monkeypatch, capsys, radars, reported
+):
+    frames, calls, joining = 6, [], threading.Event()
+    original_synth, original_join = sim.synth_frame, threading.Thread.join
+
+    def failing(spec, config, radar_id="horizontal", frame_index=0, **kwargs):
+        calls.append((radar_id, frame_index))
+        if radar_id == "vertical" and frame_index == 1 and radars == ("horizontal",):
+            # hold the worker until the main thread, its radar failed, waits
+            # for it: only being stopped keeps it from its remaining frames
+            assert joining.wait(10)
+        if frame_index == 1 and radar_id in radars:
+            raise sim.SimError(f"{radar_id} frame 1 fails")
+        return original_synth(spec, config, radar_id=radar_id, frame_index=frame_index, **kwargs)
+
+    def join(self, *args, **kwargs):
+        joining.set()
+        return original_join(self, *args, **kwargs)
+
+    monkeypatch.setattr(sim, "synth_frame", failing)
+    monkeypatch.setattr(threading.Thread, "join", join)
+    before = threading.active_count()
+    assert main(planar_simulate(tmp_path, frames=frames)[2]) == EXIT_CONTRACT
+    err = capsys.readouterr().err
+    assert f"contract violation: {reported}\n" in err and err.count("frame 1 fails") == 1
+    assert outputs_written(tmp_path, "cap") == []
+    assert threading.active_count() == before
+    horizontal = sorted(i for r, i in calls if r == "horizontal")
+    assert horizontal == ([0, 1] if "horizontal" in radars else list(range(frames)))
+    vertical = sorted(i for r, i in calls if r == "vertical")
+    # a horizontal error may stop the worker before it reaches frame 1, never after it
+    assert vertical in (([], [0], [0, 1]) if "horizontal" in radars else ([0, 1],))
 
 
 def test_simulate_prints_each_alias_warning_once_per_run(tmp_path, capsys):

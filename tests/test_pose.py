@@ -177,10 +177,11 @@ def test_ap_empty_rejected():
 def test_keypoint_json_round_trip(tmp_path):
     kp = make_kp()
     path = tmp_path / "kp.json"
-    path.write_text(json.dumps([kp.to_json(frame=0)]))
+    path.write_text(json.dumps([kp.to_json()]))
     loaded = load_keypoint_frames(path)[0]
     np.testing.assert_array_equal(loaded.xy, kp.xy)
     assert loaded.area == kp.area
+    assert loaded.frame is None and "frame" not in kp.to_json()
 
 
 def test_keypoint_json_missing_joint(tmp_path):
