@@ -11,8 +11,8 @@ element (n, m, v) with virtual antenna v = t * num_rx + r. Viewed as int16,
 a capture is the array (frame, m, t, r, n // half, re|im, half) with
 half = lanes/2; parsing and serializing are one transpose of that array
 to and from (frame, n, m, v). Serializing rounds one frame at a time
-(``quantize_frame``), a block of sample rows at a time, into int16 lanes a
-caller can reuse for every frame.
+(``quantize_frame``) through a float64 block into int16 lanes, both of
+which a caller can reuse for every frame.
 """
 
 from __future__ import annotations
@@ -165,27 +165,17 @@ def read_capture(path: str, config: RadarConfig, radar_id: str) -> tuple[int, It
     return num_frames, frames()
 
 
-QUANTIZE_GROUPS = 16  # lane groups of samples per block quantize_frame rounds through
-
-
-def frame_buffers(
-    layout: AdcLayout, config: RadarConfig, num_frames: int = 1
-) -> tuple[np.ndarray, np.ndarray]:
-    """The int16 lanes of ``num_frames`` frames, and the float64 (V, rows *
-    chirps) block, QUANTIZE_GROUPS lane groups of sample rows, that
-    ``quantize_frame`` rounds through."""
-    lane_shape, _ = _shapes(num_frames, layout, config)
-    _, m, t, r, groups, _, half = lane_shape
-    return (np.empty(lane_shape, dtype="<i2"),
-            np.empty((t * r, min(QUANTIZE_GROUPS, groups) * half * m)))
+def frame_lanes(layout: AdcLayout, config: RadarConfig, num_frames: int = 1) -> np.ndarray:
+    """Uninitialised int16 lanes of ``num_frames`` frames, as the capture holds them."""
+    return np.empty(_shapes(num_frames, layout, config)[0], dtype="<i2")
 
 
 def quantize_frame(
     cube: RadarCube, layout: AdcLayout, config: RadarConfig, lanes: np.ndarray, block: np.ndarray
 ) -> None:
     """Round one cube's real and imaginary parts to int16 into ``lanes`` (one
-    frame of ``frame_buffers``'s lanes), a block of sample rows at a time
-    through ``block``.
+    frame of ``frame_lanes``), one part at a time through ``block``, a
+    C-contiguous float64 (V, N*M) array whose values are overwritten.
 
     A rounded value outside the int16 range (or NaN) raises AdcError instead
     of wrapping around, naming the peak value of the whole frame.
@@ -194,26 +184,20 @@ def quantize_frame(
         config.num_adc_samples, config.num_chirps, config.num_virtual)
     if cube.data.shape != shape:
         raise AdcError(f"cube shape {cube.data.shape} does not match config {shape}")
-    (_, _, t, r, _, _, half), _ = _shapes(1, layout, config)
+    (_, _, t, r, groups, _, half), _ = _shapes(1, layout, config)
     # antenna v's samples in (n, m) order as row v: a view of simulated and of
-    # parsed cubes. Rounded one row at a time, since numpy allocates buffers
-    # for a multi-dimensional strided ufunc call.
+    # parsed cubes
     columns = cube.data.transpose(2, 0, 1).reshape(v_count, n_count * m_count)
-    rows = block.shape[1] // m_count
     lo, hi = np.inf, -np.inf
-    for start in range(0, n_count, rows):
-        stop = min(start + rows, n_count)
-        rounded = block[:, : (stop - start) * m_count]
-        for part, lane in ((columns.real, 0), (columns.imag, 1)):
-            for src, dst in zip(part[:, start * m_count:stop * m_count], rounded):
-                np.round(src, out=dst)
-            # NaN propagates through min/max and fails the range test; once
-            # it fails, the rest of the frame is only scanned for its peak
-            lo, hi = np.minimum(lo, rounded.min()), np.maximum(hi, rounded.max())
-            if INT16_MIN <= lo and hi <= INT16_MAX:
-                # (tx, rx, group, lane, chirp) -> (chirp, tx, rx, group, lane)
-                lanes[:, :, :, start // half:stop // half, lane, :] = rounded.reshape(
-                    t, r, -1, half, m_count).transpose(4, 0, 1, 2, 3)
+    for part, lane in ((columns.real, 0), (columns.imag, 1)):
+        np.round(part, out=block)
+        # NaN propagates through min/max and fails the range test; once it
+        # fails, the imaginary part is only scanned for the frame's peak
+        lo, hi = np.minimum(lo, block.min()), np.maximum(hi, block.max())
+        if INT16_MIN <= lo and hi <= INT16_MAX:
+            # (tx, rx, group, lane, chirp) -> (chirp, tx, rx, group, lane)
+            lanes[..., lane, :] = block.reshape(t, r, groups, half, m_count).transpose(
+                4, 0, 1, 2, 3)
     if not (INT16_MIN <= lo and hi <= INT16_MAX):
         peak = lo if -lo > hi else hi
         raise AdcError(
@@ -224,7 +208,8 @@ def quantize_frame(
 
 def serialize_cubes(cubes: list[RadarCube], layout: AdcLayout, config: RadarConfig) -> bytes:
     """Inverse of parse_cubes: ``quantize_frame`` on each cube in turn."""
-    lanes, block = frame_buffers(layout, config, len(cubes))
+    lanes = frame_lanes(layout, config, len(cubes))
+    block = np.empty((config.num_virtual, config.num_adc_samples * config.num_chirps))
     for out, cube in zip(lanes, cubes):
         quantize_frame(cube, layout, config, out, block)
     return lanes.tobytes()

@@ -75,20 +75,25 @@ def _write_captures(args, scene, config) -> dict[str, str]:
     layout = adc.AdcLayout()
     outputs = _sim_outputs(args)
     parts = [f"{path}.part" for _, path in outputs]
-    # Every buffer of the run is allocated here, on the main thread: the RD
-    # vectors both radars share and, per radar, the buffers its frames are
-    # synthesized and quantised through. glibc gives the worker thread its
-    # own malloc arena, which keeps the pages of freed frame-sized
-    # temporaries resident, so the worker allocates none.
+    # Every frame-sized buffer of the run is allocated here, on the main
+    # thread: the RD vectors both radars share and, per radar, the buffers
+    # its frames are synthesized through and its int16 lanes. glibc gives
+    # the worker thread its own malloc arena, which keeps the pages of freed
+    # frame-sized temporaries resident, so the worker allocates nothing
+    # frame-sized.
     range_doppler = sim.range_doppler_vectors(scene, config)
-    jobs = [(radar_id, part, sim.frame_buffers(config), adc.frame_buffers(layout, config))
+    jobs = [(radar_id, part, sim.frame_buffers(config), adc.frame_lanes(layout, config))
             for (radar_id, _), part in zip(outputs, parts)]
     stop = threading.Event()
 
-    def write_radar(radar_id, part, synth_buffers, adc_buffers) -> str:
-        lanes, block = adc_buffers
+    def write_radar(radar_id, part, synth_buffers, lanes) -> str:
+        # a frame is rounded through the float64 buffer its noise was drawn
+        # in, so a radar holds one such buffer, not two
+        block = synth_buffers[2].reshape(config.num_virtual, -1)
         digest = hashlib.sha256()
-        with open(part, "wb") as fh:
+        # an overflowing --scale leaves inf or NaN, which the quantiser
+        # reports as the frame's peak; numpy's errstate is per thread
+        with open(part, "wb") as fh, np.errstate(over="ignore", invalid="ignore"):
             for i in range(args.frames):
                 if stop.is_set():
                     break

@@ -25,10 +25,10 @@ the product one antenna column at a time into a (V, N*M) buffer, with the
 sum over targets in scene order, so a scene's cube is bitwise the sum of its
 targets' cubes; the cube is that buffer viewed as (N, M, V), with no
 transposed copy. Noise is then added in place, sigma*a to the real and
-sigma*b to the imaginary part, from two ``standard_normal`` streams (a
-first) drawn a block of sample rows at a time in stream order; this gives
-the same values as two whole-cube draws and adding sigma * (a + 1j*b),
-without the whole-cube or complex temporaries.
+sigma*b to the imaginary part, from two whole-cube ``standard_normal``
+streams (a first) drawn one after the other into one reused (N*M, V)
+buffer; this gives the same values as adding sigma * (a + 1j*b), without
+a complex temporary.
 """
 
 from __future__ import annotations
@@ -80,6 +80,9 @@ class SceneSpec:
     def __post_init__(self):
         if self.noise_seed < 0:
             raise SimError(f"noise_seed must be >= 0, got {self.noise_seed}")
+        # bounds every sample of a noise-free cube, so synth_frame's target sum stays finite
+        if not math.isfinite(sum(abs(t.rcs_amplitude) for t in self.targets)):
+            raise SimError("the targets' summed rcs_amplitude is not finite")
         self.noise_sigma  # computed here so that a scene whose noise level overflows is rejected
 
     @functools.cached_property
@@ -164,9 +167,6 @@ def scene_warnings(scene: SceneSpec, config: RadarConfig) -> list[str]:
     return warnings
 
 
-NOISE_ROWS = 16  # sample rows of noise drawn per block
-
-
 def range_doppler_vectors(scene: SceneSpec, config: RadarConfig) -> np.ndarray:
     """The (T, N*M) RD vectors A_t * r_t[n] * d_t[m] of the scene's targets.
 
@@ -188,13 +188,14 @@ def range_doppler_vectors(scene: SceneSpec, config: RadarConfig) -> np.ndarray:
 
 def frame_buffers(config: RadarConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """What ``synth_frame`` writes one frame through: the (V, N*M) complex
-    columns its cube views, one column's product temporary, and a float64
-    block of NOISE_ROWS sample rows for the noise draws."""
-    n_count, m_count, v_count = config.num_adc_samples, config.num_chirps, config.num_virtual
+    columns its cube views, one column's product temporary, and a (N*M, V)
+    float64 buffer for the noise draws of one stream, free again once
+    ``synth_frame`` returns."""
+    nm_count, v_count = config.num_adc_samples * config.num_chirps, config.num_virtual
     return (
-        np.empty((v_count, n_count * m_count), dtype=np.complex128),
-        np.empty(n_count * m_count, dtype=np.complex128),
-        np.empty((min(NOISE_ROWS, n_count), m_count, v_count)),
+        np.empty((v_count, nm_count), dtype=np.complex128),
+        np.empty(nm_count, dtype=np.complex128),
+        np.empty((nm_count, v_count)),
     )
 
 
@@ -240,16 +241,11 @@ def synth_frame(
         rng = np.random.default_rng(
             [scene.noise_seed, frame_index, 0 if radar_id == HORIZONTAL else 1]
         )
-        # the whole real stream, then the whole imaginary one, NOISE_ROWS rows at a time
+        # the whole real stream, then the whole imaginary one, in (n, m, v) order
         for part in (columns.real, columns.imag):
-            for start in range(0, n_count, len(noise)):
-                block = noise[: n_count - start]
-                rng.standard_normal(out=block)
-                block *= sigma
-                # antenna v's draws go to column v, one 1-D add each: numpy
-                # allocates buffers for a multi-dimensional strided add
-                for column, draws in zip(part[:, start * m_count:], block.reshape(-1, v_count).T):
-                    column[: len(draws)] += draws
+            rng.standard_normal(out=noise)
+            noise *= sigma
+            part += noise.T
     # a view: column v's element n*M + m is sample (n, m, v)
     data = columns.T.reshape(n_count, m_count, v_count)
     return RadarCube(data=data, frame_index=frame_index, radar_id=radar_id)

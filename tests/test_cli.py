@@ -575,11 +575,11 @@ def test_simulate_memory_is_bounded_by_a_few_frames(tmp_path):
     assert main(argv[:-1] + ["1"]) == EXIT_OK
     code, peak = traced_peak(argv)
     assert code == EXIT_OK
-    # per radar one cube, its blocks of noise and rounding and its int16
-    # lanes, freed before the one reused 1 MiB buffer the manifest reads the
-    # scene and config through (the captures' digests come from the frames as
-    # written); holding the whole capture as cubes would take 2 x 64 cubes
-    # and their scaled copies
+    # per radar one cube, half a cube its noise and its rounding share, and a
+    # quarter cube of int16 lanes, freed before the one reused 1 MiB buffer
+    # the manifest reads the scene and config through (the captures' digests
+    # come from the frames as written); holding the whole capture as cubes
+    # would take 2 x 64 cubes and their scaled copies
     assert peak < (1 << 20) + 8 * CUBE_BYTES
 
 
@@ -864,11 +864,14 @@ def write_json(path, doc):
     ({"targets": [{"range": 1e300}]}, "target 0 range: 1e+300 gives a phase that is not finite"),
     ({"targets": [{"range": 1.0, "radial_velocity": 1e308}]},
      "target 0 radial_velocity: 1e+308 gives a phase that is not finite"),
+    # each amplitude is finite, but their sum, and so the cube, is not
+    ({"targets": [{"range": r, "rcs_amplitude": 1.5e308} for r in (1.0, 2.0)]},
+     "the targets' summed rcs_amplitude is not finite"),
 ], ids=[f"doc{i}" for i in range(10)] + [
     "range_401_digits", "snr_db_401_digits", "rcs_amplitude_401_digits",
     "radial_velocity_401_digits", "key_target", "key_azimuth_deg", "repeated_key", "snr_db_true",
     "snr_db_-4000", "snr_db_-1e300", "snr_db_1e300", "rcs_amplitude_1e200_snr_db_10",
-    "range_1e308", "range_1e300", "radial_velocity_1e308",
+    "range_1e308", "range_1e300", "radial_velocity_1e308", "rcs_amplitude_sum_1.5e308_x2",
 ])
 @pytest.mark.filterwarnings("error")  # numpy's RuntimeWarnings included
 def test_simulate_malformed_scene_exits_3(tmp_path, cfg_file, capsys, doc, message):
@@ -958,6 +961,35 @@ def test_simulate_int16_overflow_exits_3_and_writes_nothing(tmp_path, cfg_file, 
     ]) == EXIT_OK
 
 
+def test_simulate_overflowing_scale_exits_3_without_numpy_warnings(
+    tmp_path, cfg_file, capsys, monkeypatch, recwarn
+):
+    # the horizontal frame 0 waits until the worker has synthesized its own,
+    # so the worker scales that frame before the horizontal error stops it
+    vertical_done, original = threading.Event(), sim.synth_frame
+
+    def ordered(spec, config, radar_id="horizontal", frame_index=0, **kwargs):
+        if radar_id == "horizontal":
+            assert vertical_done.wait(timeout=30)
+        cube = original(spec, config, radar_id=radar_id, frame_index=frame_index, **kwargs)
+        vertical_done.set()
+        return cube
+
+    monkeypatch.setattr(sim, "synth_frame", ordered)
+    # 2 x 1e308 overflows to inf in the scaling
+    scene = write_scene(tmp_path, targets=[{"range": 3.0, "rcs_amplitude": 2.0}])
+    assert main([
+        "simulate", scene, "--config", cfg_file, "--output", str(tmp_path / "cap.bin"),
+        "--radar", "both", "--frames", "2", "--scale", "1e308",
+    ]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "frame 0: peak value inf is outside the int16 range" in err
+    assert "RuntimeWarning" not in err
+    # numpy's warnings from either thread, which pytest would not show on stderr
+    assert [str(w.message) for w in recwarn if w.category is RuntimeWarning] == []
+    assert outputs_written(tmp_path, "cap") == []
+
+
 def test_simulate_failing_frame_leaves_no_capture(tmp_path, cfg_file, monkeypatch):
     scene = write_scene(tmp_path, targets=[{"range": 5.0}], snr_db=20)
     original = sim.synth_frame
@@ -1004,12 +1036,15 @@ def test_simulate_both_equals_the_serial_reference(tmp_path):
     assert main(argv) == EXIT_OK
     config, spec = load_config(cfg), sim.SceneSpec.load(scene)
     for radar_id in ("horizontal", "vertical"):
-        want = b""
-        for i in range(4):
-            cube = sim.synth_frame(spec, config, radar_id=radar_id, frame_index=i)
-            scaled = adc.RadarCube(data=cube.data * 3000, frame_index=i, radar_id=radar_id)
-            want += adc.serialize_cubes([scaled], adc.AdcLayout(), config)
-        assert (tmp_path / f"cap.{radar_id[0]}.bin").read_bytes() == want, radar_id
+        # parse_cubes is pinned by loop oracles, so this reference does not
+        # go through the quantiser the capture was written with
+        got = adc.parse_cubes((tmp_path / f"cap.{radar_id[0]}.bin").read_bytes(),
+                              adc.AdcLayout(), config, radar_id)
+        assert len(got) == 4
+        for i, cube in enumerate(got):
+            want = sim.synth_frame(spec, config, radar_id=radar_id, frame_index=i).data
+            np.testing.assert_array_equal(cube.data, np.round(3000 * want),
+                                          err_msg=f"{radar_id} frame {i}")
 
 
 def record_synth_threads(monkeypatch):
