@@ -67,10 +67,7 @@ def _write_captures(args, scene, config) -> dict[str, str]:
 
     Frames stream into <output>.part files, renamed only once every frame of
     every radar is written, so a failing frame leaves no capture behind.
-    With --radar both the vertical radar's frames are made on one worker
-    thread while the main thread makes the horizontal ones. Errors are those
-    of the serial loop: the horizontal radar's first, and a horizontal error
-    stops the worker before its next frame.
+    A horizontal error stops the worker before its next frame (``_each_radar``).
     """
     layout = adc.AdcLayout()
     outputs = _sim_outputs(args)
@@ -109,13 +106,7 @@ def _write_captures(args, scene, config) -> dict[str, str]:
 
     try:
         with ThreadPoolExecutor(max_workers=1) as worker:
-            vertical = [worker.submit(write_radar, *job) for job in jobs[1:]]
-            try:
-                digests = [write_radar(*jobs[0])]
-            except BaseException:
-                stop.set()  # leaving the with block then waits for the worker
-                raise
-            digests += [future.result() for future in vertical]
+            digests = _each_radar(worker, write_radar, jobs, stop)
     except BaseException:
         for part in parts:
             Path(part).unlink(missing_ok=True)
@@ -123,6 +114,25 @@ def _write_captures(args, scene, config) -> dict[str, str]:
     for (_, path), part in zip(outputs, parts):
         os.replace(part, path)
     return {path: digest for (_, path), digest in zip(outputs, digests)}
+
+
+def _each_radar(worker, job, radars, stop=None) -> list:
+    """``job(*args)`` for each radar's ``args``, in radar order: the first
+    (horizontal) radar's on this thread, the others' on the one-thread
+    executor ``worker``. Errors come in serial order: the first radar's error
+    sets ``stop``, waits for the worker and carries a worker error as its
+    ``__cause__``."""
+    first, *others = radars
+    futures = [worker.submit(job, *args) for args in others]
+    try:
+        results = [job(*first)]
+    except BaseException as exc:
+        if stop is not None:
+            stop.set()
+        for error in filter(None, [future.exception() for future in futures]):
+            raise exc from error
+        raise
+    return results + [future.result() for future in futures]
 
 
 def _sim_outputs(args):
@@ -140,6 +150,10 @@ def cmd_heatmap(args) -> int:
     num_frames, cubes = adc.read_capture(args.adc, config, adc.HORIZONTAL)
     fft_branch = args.branch == "fft"
     angle_fft = spectral.angle_fft_length(config)
+    # the Doppler flags are checked before any frame is read, the window also
+    # when sampling is off
+    doppler_bins = spectral.next_pow2(config.num_chirps)
+    spectral.doppler_sample_indices(doppler_bins, args.doppler_keep or 1, args.doppler_window)
     maps = None
     for i, cube in enumerate(cubes):
         # the fft branch averages elevation first, so the RD FFT runs on 1/Q of the cube
@@ -160,7 +174,8 @@ def cmd_heatmap(args) -> int:
         inputs={args.adc: None},
         outputs={args.output: digest},
         config_path=args.config,
-        extra={"branch": args.branch},
+        extra={"branch": args.branch, "doppler_keep": args.doppler_keep,
+               "doppler_window": args.doppler_window},
     )
     return EXIT_OK
 
@@ -168,17 +183,10 @@ def cmd_heatmap(args) -> int:
 def _probmap_frame(
     cubes, buffers, fft, config, params, angle_fft, pe, args
 ) -> list[tuple[str, object]]:
-    """One frame pair's probmap outputs as (path, array or sidecar bytes) pairs.
-
-    The vertical cube's RD map is computed on the ``fft`` executor while the
-    main thread computes the horizontal one, each into its radar's buffer.
-    An error of the horizontal map is raised first, as in serial order.
-    """
+    """One frame pair's probmap outputs as (path, array or sidecar bytes) pairs."""
     frame_index, vectors = cubes[0].frame_index, {}
-    # looked up when submitted, so a wrapper installed on the module is called
-    vertical = fft.submit(spectral.range_doppler_map, cubes[1], out=buffers[1])
-    horizontal = spectral.range_doppler_map(cubes[0], out=buffers[0])
-    for rd in (horizontal, vertical.result()):
+    # looked up per frame, so a wrapper installed on the module is called
+    for rd in _each_radar(fft, spectral.range_doppler_map, zip(cubes, buffers)):
         bins = cfar.select_range_bins(cfar.detect_2d(spectral.magnitude_map(rd), params))
         angle = spectral.P_AXIS_ANGLE[rd.radar_id]
         spectrum = probmap.angle_spectrum(rd, config, bins, angle, angle_fft=angle_fft)
@@ -240,13 +248,13 @@ def cmd_probmap(args) -> int:
     from concurrent.futures import ThreadPoolExecutor
 
     inputs, outputs = [args.adc_h, args.adc_v], {}
-    # Two threads besides main: the FFT worker computes the vertical RD map
-    # of the frame the main thread is on, and the writer runs one frame
-    # behind: frame k's files are written and hashed while frame k+1 is
-    # computed. Frame k's write is waited on before frame k+1's is submitted
-    # and before any error of frame k+1 escapes, so the exit code and the
-    # files on disk are those of writing each frame in turn. The writer's
-    # first job hashes the input captures; frame 0's write queues behind it.
+    # Two threads besides main: the FFT worker of _each_radar, and the writer,
+    # which runs one frame behind: frame k's files are written and hashed
+    # while frame k+1 is computed. Frame k's write is waited on before frame
+    # k+1's is submitted and before any error of frame k+1 escapes, so the
+    # exit code and the files on disk are those of writing each frame in
+    # turn. The writer's first job hashes the input captures; frame 0's
+    # write queues behind it.
     with ThreadPoolExecutor(max_workers=1) as writer, ThreadPoolExecutor(max_workers=1) as fft:
         inputs_hashed = writer.submit(lambda: {p: manifest.sha256_file(p) for p in inputs})
         pending = None
@@ -269,6 +277,7 @@ def cmd_probmap(args) -> int:
         extra={
             "cfar": {"guard": params.guard, "reference": params.reference, "pfa": params.pfa},
             "pe_depth": args.pe_depth,
+            "angle_fft": angle_fft,
         },
     )
     return EXIT_OK

@@ -112,7 +112,7 @@ def doppler_sample_indices(m: int, keep: int, velocity_window: float) -> np.ndar
     window = int(round(velocity_window * m))
     window = max(1, min(window, m))
     if keep < 1 or keep > window:
-        raise SpectralError(f"keep={keep} exceeds window size {window}")
+        raise SpectralError(f"keep must be in [1, {window}] (the window size), got {keep}")
     center = m // 2
     step = window // keep
     start = center - (keep * step) // 2 + step // 2

@@ -1,6 +1,7 @@
 import json
 import threading
 import tracemalloc
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from radarpose import adc, manifest, probmap, sim, spectral, tensorio
-from radarpose.cli import EXIT_CONTRACT, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from radarpose.cli import EXIT_CONTRACT, EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
 from radarpose.config import config_text, load_config
 from radarpose.manifest import sha256_file
 from radarpose.pose import DEFAULT_SIGMAS, JOINT_NAMES, load_keypoint_frames
@@ -44,6 +45,21 @@ def write_scene(tmp_path, targets=(), snr_db=None, seed=0, name="scene.json"):
 
 def outputs_written(tmp_path, prefix="o"):
     return [p.name for p in tmp_path.iterdir() if p.name.startswith(prefix)]
+
+
+def assert_raised_in_serial_order(argv, error_type, radars, reported):
+    """Check the exception a two-radar command raises, of which cli.main
+    prints only the message: the ``reported`` one, carrying the vertical
+    radar's frame 1 error as its cause when both ``radars`` failed."""
+    args = build_parser().parse_args(argv)
+    with pytest.raises(error_type) as raised:
+        args.func(args)
+    assert str(raised.value) == reported
+    cause = raised.value.__cause__
+    if len(radars) == 2:
+        assert isinstance(cause, error_type) and str(cause) == "vertical frame 1 fails"
+    else:
+        assert cause is None
 
 
 def keypoint_doc(offsets=None):
@@ -162,15 +178,27 @@ def test_heatmap_rd_branch_samples_doppler(tmp_path):
     np.testing.assert_array_equal(maps, want)
 
 
-@pytest.mark.parametrize("window", ["0", "1.5"])
-def test_heatmap_doppler_window_outside_0_1_exits_4(tmp_path, cfg_file, capsys, window):
+WINDOW_ERROR = "velocity_window must be in (0, 1]"
+
+
+# a window outside (0, 1] is rejected also with sampling off, and so is a
+# --doppler-keep outside [1, window bins]: 4 of CONFIG's 8 Doppler bins at 0.5
+@pytest.mark.parametrize("keep, window, message", [
+    pytest.param("2", "0", WINDOW_ERROR, id="0"),
+    pytest.param("2", "1.5", WINDOW_ERROR, id="1.5"),
+    pytest.param("0", "5", WINDOW_ERROR, id="5-keep-0"),
+    pytest.param("-1", "0.5", "keep must be in [1, 4] (the window size), got -1", id="keep-minus-1"),
+])
+def test_heatmap_doppler_window_outside_0_1_exits_4(
+    tmp_path, cfg_file, capsys, keep, window, message
+):
     cap = tmp_path / "cap.bin"
     cap.write_bytes(bytes(FRAME_BYTES))
     assert main([
         "heatmap", str(cap), "--config", cfg_file, "--output", str(tmp_path / "o.tensor"),
-        "--doppler-keep", "2", "--doppler-window", window,
+        "--doppler-keep", keep, "--doppler-window", window,
     ]) == EXIT_CONTRACT
-    assert "velocity_window must be in (0, 1]" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert outputs_written(tmp_path) == []
 
 
@@ -360,6 +388,8 @@ def test_heatmap_manifest_digests_are_the_files_written(tmp_path, cfg_file):
                  "--doppler-keep", "4"]) == EXIT_OK
     doc = assert_manifest_digests_are_the_files(tmp_path / "maps.tensor.manifest.json")
     assert list(doc["inputs"]) == [str(h)] and list(doc["outputs"]) == [str(out)]
+    # every flag that shapes the tensor is recorded
+    assert (doc["branch"], doc["doppler_keep"], doc["doppler_window"]) == ("fft", 4, 0.5)
 
 
 def test_probmap_manifest_digests_are_the_files_written(tmp_path, cfg_file):
@@ -367,6 +397,8 @@ def test_probmap_manifest_digests_are_the_files_written(tmp_path, cfg_file):
     assert code == EXIT_OK
     doc = assert_manifest_digests_are_the_files(f"{prefix}.manifest.json")
     assert len(doc["inputs"]) == 2 and len(doc["outputs"]) == 9
+    # the length --angle-fft 0 resolves to: next_pow2 of the 4 azimuth antennas
+    assert doc["angle_fft"] == 4
 
 
 def test_no_command_reads_an_output_back_to_hash_it(tmp_path, cfg_file, monkeypatch):
@@ -531,11 +563,18 @@ def test_probmap_rd_map_error_stops_at_that_frame_in_serial_order(
     before = threading.active_count()
     code, _ = run_probmap(tmp_path, cfg_file, [{"range": 6.0}], frames=3)
     assert code == EXIT_CONTRACT
-    assert f"contract violation: {reported}\n" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"contract violation: {reported}\n" in err
+    assert err.splitlines() == [f"contract violation: {reported}"]
     assert sorted(outputs_written(tmp_path, "out")) == [
         "out.bins.f0000.json", "out.enc.f0000.tensor", "out.prob.f0000.tensor",
     ]
     assert threading.active_count() == before
+    assert_raised_in_serial_order(
+        ["probmap", str(tmp_path / "cap.h.bin"), str(tmp_path / "cap.v.bin"),
+         "--config", cfg_file, "--output", str(tmp_path / "again")],
+        spectral.SpectralError, radars, reported,
+    )
 
 
 # 64x16x8 cubes: one frame is 32 KiB of int16 and 128 KiB of complex128
@@ -1088,36 +1127,50 @@ def test_simulate_both_makes_the_vertical_frames_on_one_worker_and_leaves_none(
 def test_simulate_both_reports_errors_in_serial_order(
     tmp_path, monkeypatch, capsys, radars, reported
 ):
-    frames, calls, joining = 6, [], threading.Event()
-    original_synth, original_join = sim.synth_frame, threading.Thread.join
+    frames, calls, waits = 6, [], []
+    main_waits, vertical_at_1 = threading.Event(), threading.Event()
+    original_synth, original_exception = sim.synth_frame, Future.exception
 
     def failing(spec, config, radar_id="horizontal", frame_index=0, **kwargs):
         calls.append((radar_id, frame_index))
-        if radar_id == "vertical" and frame_index == 1 and radars == ("horizontal",):
-            # hold the worker until the main thread, its radar failed, waits
-            # for it: only being stopped keeps it from its remaining frames
-            assert joining.wait(10)
+        if radar_id == "vertical" and frame_index == 1:
+            vertical_at_1.set()
+            if radars == ("horizontal",):
+                # hold the worker until the main thread, its radar failed, waits
+                # for it: only being stopped keeps it from its remaining frames
+                waits.append(main_waits.wait(10))
         if frame_index == 1 and radar_id in radars:
+            if radar_id == "horizontal":
+                # the worker reaches frame 1 first, so a vertical error there
+                # must reach the raised one and a held worker must be waited on
+                waits.append(vertical_at_1.wait(10))
             raise sim.SimError(f"{radar_id} frame 1 fails")
         return original_synth(spec, config, radar_id=radar_id, frame_index=frame_index, **kwargs)
 
-    def join(self, *args, **kwargs):
-        joining.set()
-        return original_join(self, *args, **kwargs)
+    def exception(self, *args, **kwargs):
+        # the main thread waits on the worker's future once its radar failed
+        main_waits.set()
+        return original_exception(self, *args, **kwargs)
 
     monkeypatch.setattr(sim, "synth_frame", failing)
-    monkeypatch.setattr(threading.Thread, "join", join)
+    monkeypatch.setattr(Future, "exception", exception)
     before = threading.active_count()
-    assert main(planar_simulate(tmp_path, frames=frames)[2]) == EXIT_CONTRACT
+    argv = planar_simulate(tmp_path, frames=frames)[2]
+    assert main(argv) == EXIT_CONTRACT
     err = capsys.readouterr().err
     assert f"contract violation: {reported}\n" in err and err.count("frame 1 fails") == 1
+    assert err.splitlines() == [f"contract violation: {reported}"]
     assert outputs_written(tmp_path, "cap") == []
     assert threading.active_count() == before
     horizontal = sorted(i for r, i in calls if r == "horizontal")
     assert horizontal == ([0, 1] if "horizontal" in radars else list(range(frames)))
     vertical = sorted(i for r, i in calls if r == "vertical")
-    # a horizontal error may stop the worker before it reaches frame 1, never after it
+    # a horizontal error stops the worker at the latest after frame 1, where it is held
     assert vertical in (([], [0], [0, 1]) if "horizontal" in radars else ([0, 1],))
+    main_waits.clear()
+    vertical_at_1.clear()
+    assert_raised_in_serial_order(argv, sim.SimError, radars, reported)
+    assert all(waits)  # a timed-out wait proves nothing
 
 
 def test_simulate_prints_each_alias_warning_once_per_run(tmp_path, capsys):
