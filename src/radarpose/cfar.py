@@ -85,6 +85,9 @@ def _window(rows: int, cols: int, half: int) -> tuple[np.ndarray, np.ndarray]:
     (r1, c1), (r0, c1), (r1, c0), (r0, c0) of each cell's (2*half+1)^2
     window clipped at the edges, shape (4, rows*cols), and the window's cell
     count, shape (rows, cols)."""
+    # past the map's extent a window covers the whole map; clipped here, a
+    # half too large for int64 never reaches numpy
+    half = min(half, max(rows, cols))
     r, c = np.arange(rows), np.arange(cols)
     r0, r1 = np.clip(r - half, 0, rows), np.clip(r + half + 1, 0, rows)
     c0, c1 = np.clip(c - half, 0, cols), np.clip(c + half + 1, 0, cols)

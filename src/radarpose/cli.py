@@ -34,11 +34,7 @@ EXIT_CONTRACT = 4
 DEFAULT_ADC_SCALE = 1000.0  # simulator amplitude -> int16 quantization scale
 
 
-def _manifest_path(output: str) -> str:
-    return str(output) + ".manifest.json"
-
-
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> dict:
     config = load_config(args.config)
     if args.frames < 1:
         raise sim.SimError(f"--frames must be >= 1, got {args.frames}")
@@ -49,16 +45,12 @@ def cmd_simulate(args) -> int:
         scene = sim.SceneSpec(targets=scene.targets, snr_db=scene.snr_db, noise_seed=args.seed)
     for w in sim.scene_warnings(scene, config):
         print(f"warning: {w}", file=sys.stderr)
-    write_manifest(
-        _manifest_path(args.output),
-        command="simulate",
-        inputs={args.scene: None},
-        outputs=_write_captures(args, scene, config),
-        seed=scene.noise_seed,
-        config_path=args.config,
-        extra={"frames": args.frames, "scale": args.scale},
-    )
-    return EXIT_OK
+    return {
+        "inputs": {args.scene: None},
+        "outputs": _write_captures(args, scene, config),
+        "seed": scene.noise_seed,
+        "extra": {"frames": args.frames, "scale": args.scale},
+    }
 
 
 def _write_captures(args, scene, config) -> dict[str, str]:
@@ -66,7 +58,8 @@ def _write_captures(args, scene, config) -> dict[str, str]:
     the frames as they are written.
 
     Frames stream into <output>.part files, renamed only once every frame of
-    every radar is written, so a failing frame leaves no capture behind.
+    every radar is written, so a failing frame leaves no capture behind and
+    a failing rename no .part file.
     A horizontal error stops the worker before its next frame (``_each_radar``).
     """
     layout = adc.AdcLayout()
@@ -107,12 +100,12 @@ def _write_captures(args, scene, config) -> dict[str, str]:
     try:
         with ThreadPoolExecutor(max_workers=1) as worker:
             digests = _each_radar(worker, write_radar, jobs, stop)
+        for (_, path), part in zip(outputs, parts):
+            os.replace(part, path)
     except BaseException:
         for part in parts:
             Path(part).unlink(missing_ok=True)
         raise
-    for (_, path), part in zip(outputs, parts):
-        os.replace(part, path)
     return {path: digest for (_, path), digest in zip(outputs, digests)}
 
 
@@ -145,7 +138,7 @@ def _sim_outputs(args):
     return [(args.radar, args.output)]
 
 
-def cmd_heatmap(args) -> int:
+def cmd_heatmap(args) -> dict:
     config = load_config(args.config)
     num_frames, cubes = adc.read_capture(args.adc, config, adc.HORIZONTAL)
     fft_branch = args.branch == "fft"
@@ -166,18 +159,12 @@ def cmd_heatmap(args) -> int:
         if maps is None:
             maps = np.empty((num_frames,) + frame.shape, dtype=frame.dtype)
         maps[i] = frame
-    digest = tensorio.write_tensor(args.output, maps)
-    del maps  # the manifest hashes the capture next; the output need not stay in memory
-    write_manifest(
-        _manifest_path(args.output),
-        command="heatmap",
-        inputs={args.adc: None},
-        outputs={args.output: digest},
-        config_path=args.config,
-        extra={"branch": args.branch, "doppler_keep": args.doppler_keep,
-               "doppler_window": args.doppler_window},
-    )
-    return EXIT_OK
+    return {
+        "inputs": {args.adc: None},
+        "outputs": {args.output: tensorio.write_tensor(args.output, maps)},
+        "extra": {"branch": args.branch, "doppler_keep": args.doppler_keep,
+                  "doppler_window": args.doppler_window},
+    }
 
 
 def _probmap_frame(
@@ -227,7 +214,7 @@ def _write_files(files: list[tuple[str, object]]) -> dict[str, str]:
     return digests
 
 
-def cmd_probmap(args) -> int:
+def cmd_probmap(args) -> dict:
     config = load_config(args.config)
     angle_fft = spectral.angle_fft_length(config, args.angle_fft)
     count_h, cubes_h = adc.read_capture(args.adc_h, config, adc.HORIZONTAL)
@@ -268,36 +255,28 @@ def cmd_probmap(args) -> int:
         finally:
             if pending is not None:
                 outputs.update(pending.result())
-    write_manifest(
-        _manifest_path(args.output),
-        command="probmap",
-        inputs=inputs_hashed.result(),
-        outputs=outputs,
-        config_path=args.config,
-        extra={
+    return {
+        "inputs": inputs_hashed.result(),
+        "outputs": outputs,
+        "extra": {
             "cfar": {"guard": params.guard, "reference": params.reference, "pfa": params.pfa},
             "pe_depth": args.pe_depth,
             "angle_fft": angle_fft,
         },
-    )
-    return EXIT_OK
+    }
 
 
-def cmd_fuse(args) -> int:
+def cmd_fuse(args) -> dict:
     t1 = tensorio.read_tensor(args.tensor1)
     t2 = tensorio.read_tensor(args.tensor2)
     fused = fusion.fuse_add(fusion.FeatureTensor(values=t1), fusion.FeatureTensor(values=t2))
-    digest = tensorio.write_tensor(args.output, fused.values)
-    write_manifest(
-        _manifest_path(args.output),
-        command="fuse",
-        inputs={args.tensor1: None, args.tensor2: None},
-        outputs={args.output: digest},
-    )
-    return EXIT_OK
+    return {
+        "inputs": {args.tensor1: None, args.tensor2: None},
+        "outputs": {args.output: tensorio.write_tensor(args.output, fused.values)},
+    }
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> dict | None:
     preds = load_keypoint_frames(args.pred)
     gts = load_keypoint_frames(args.gt)
     params = load_oks_params(args.oks_config) if args.oks_config else OksParams()
@@ -305,20 +284,16 @@ def cmd_eval(args) -> int:
     report = ap_summary(values)
     report["per_frame_oks"] = values
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if args.output:
-        data = text.encode()
-        Path(args.output).write_bytes(data)
-        write_manifest(
-            _manifest_path(args.output),
-            command="eval",
-            inputs=dict.fromkeys(
-                [args.pred, args.gt] + ([args.oks_config] if args.oks_config else [])
-            ),
-            outputs={args.output: hashlib.sha256(data).hexdigest()},
-        )
-    else:
+    if not args.output:
         sys.stdout.write(text)
-    return EXIT_OK
+        return None
+    data = text.encode()
+    Path(args.output).write_bytes(data)
+    inputs = [args.pred, args.gt] + ([args.oks_config] if args.oks_config else [])
+    return {
+        "inputs": dict.fromkeys(inputs),
+        "outputs": {args.output: hashlib.sha256(data).hexdigest()},
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -382,7 +357,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        # a command returns the manifest record of its run, or None if it wrote no file
+        record = args.func(args)
+        if record is not None:
+            write_manifest(f"{args.output}.manifest.json", command=args.command,
+                           config_path=getattr(args, "config", None), **record)
+        return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

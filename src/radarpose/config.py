@@ -61,6 +61,11 @@ class RadarConfig:
             raise ConfigError(
                 f"antenna geometry {az}x{el} does not match {self.num_virtual} virtual channels"
             )
+        if self.num_adc_samples * self.num_chirps * self.num_virtual * 16 > sys.maxsize:
+            raise ConfigError(
+                f"a {self.num_adc_samples}x{self.num_chirps}x{self.num_virtual} cube of "
+                "complex128 samples exceeds numpy's array size"
+            )
 
     @property
     def num_virtual(self) -> int:

@@ -5,6 +5,7 @@ sinusoidal positional encoding guided by those maps.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -143,6 +144,10 @@ def positional_encoding(a_bins: int, e_bins: int, depth: int = PE_DEPTH) -> Posi
         raise ProbMapError(f"depth must be even and >= 2, got {depth}")
     if a_bins < 1 or e_bins < 1:
         raise ProbMapError("axis sizes must be >= 1")
+    if 2 * depth * a_bins * e_bins * 8 > sys.maxsize:
+        raise ProbMapError(
+            f"an encoding of depth {depth} over {a_bins}x{e_bins} bins exceeds numpy's array size"
+        )
     half = depth // 2
     freqs = 1.0 / (10000.0 ** (2.0 * np.arange(half) / depth))  # (half,)
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from radarpose import adc, manifest, probmap, sim, spectral, tensorio
+from radarpose import __version__, adc, manifest, probmap, sim, spectral, tensorio
 from radarpose.cli import EXIT_CONTRACT, EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
 from radarpose.config import config_text, load_config
 from radarpose.manifest import sha256_file
@@ -220,6 +220,16 @@ def test_bad_config_exits_2(tmp_path):
     ]) == EXIT_USAGE
 
 
+def test_config_whose_cube_numpy_cannot_hold_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(CONFIG.replace("num_adc_samples = 32", f"num_adc_samples = {2 ** 62}"))
+    scene = write_scene(tmp_path)
+    assert main(["simulate", scene, "--config", str(cfg),
+                 "--output", str(tmp_path / "cap.bin")]) == EXIT_USAGE
+    assert "config error" in capsys.readouterr().err
+    assert outputs_written(tmp_path, "cap") == []
+
+
 def test_missing_subcommand_args_exit_2(tmp_path):
     assert main(["simulate"]) == EXIT_USAGE
 
@@ -315,6 +325,29 @@ def test_probmap_too_short_angle_fft_exits_4_before_any_frame(
     assert "angle FFT length 4 < 8 antennas" in capsys.readouterr().err
     assert calls == []
     assert outputs_written(tmp_path, "short") == []
+
+
+@pytest.mark.parametrize("flag, value, code", [
+    ("--cfar-guard", 2 ** 70, EXIT_CONTRACT),  # leaves no reference cell
+    ("--cfar-ref", 2 ** 70, EXIT_OK),
+    ("--pe-depth", 2 ** 62, EXIT_CONTRACT),    # an encoding numpy cannot allocate
+    ("--angle-fft", 2 ** 62, EXIT_CONTRACT),
+])
+def test_probmap_size_flags_past_int64_or_numpy_size_exit_cleanly(
+    tmp_path, cfg_file, capsys, flag, value, code
+):
+    h, v = simulate_both(tmp_path, cfg_file, frames=1)
+    argv = ["probmap", str(h), str(v), "--config", cfg_file, flag]
+    assert main(argv + [str(value), "--output", str(tmp_path / "o")]) == code
+    assert "Traceback" not in capsys.readouterr().err
+    if code != EXIT_OK:
+        assert outputs_written(tmp_path) == []
+        return
+    # guard 5 + reference 27 already spans the 32 x 8 map, so any larger reference gives its maps
+    assert main(argv + ["27", "--output", str(tmp_path / "r")]) == EXIT_OK
+    for kind in ("prob", "enc"):
+        assert (tmp_path / f"o.{kind}.f0000.tensor").read_bytes() == (
+            tmp_path / f"r.{kind}.f0000.tensor").read_bytes()
 
 
 def test_probmap_frame_count_mismatch_exits_3(tmp_path, cfg_file, capsys):
@@ -430,6 +463,69 @@ def test_no_command_reads_an_output_back_to_hash_it(tmp_path, cfg_file, monkeypa
         doc = assert_manifest_digests_are_the_files(tmp_path / f"{name}.manifest.json")
         assert set(doc["inputs"]) <= set(hashed), name
         assert not set(hashed) & set(doc["outputs"]), name
+
+
+@pytest.fixture(scope="module")
+def pipeline_dir(tmp_path_factory):
+    """All five commands run once on the small config, each with --output."""
+    d = tmp_path_factory.mktemp("pipeline")
+    cfg = str(d / "radar.cfg")
+    (d / "radar.cfg").write_text(CONFIG)
+    scene = write_scene(d, targets=[{"range": 6.0, "azimuth": 0.2}], snr_db=20)
+    (d / "gt.json").write_text(json.dumps([keypoint_doc()]))
+    (d / "pred.json").write_text(json.dumps([keypoint_doc({"head": 1.0})]))
+    (d / "oks.cfg").write_text("sigma_head = 0.05\n")
+    h, v = str(d / "cap.h.bin"), str(d / "cap.v.bin")
+    for argv in (
+        ["simulate", scene, "--config", cfg, "--output", str(d / "cap.bin"),
+         "--radar", "both", "--frames", "2", "--seed", "5"],
+        ["heatmap", h, "--config", cfg, "--output", str(d / "maps.tensor")],
+        ["probmap", h, v, "--config", cfg, "--output", str(d / "out")],
+        ["eval", str(d / "pred.json"), str(d / "gt.json"), "--oks-config", str(d / "oks.cfg"),
+         "--output", str(d / "metrics.json")],
+    ):
+        assert main(argv) == EXIT_OK, argv[0]
+    write_tensor(d / "zeros.tensor", np.zeros_like(read_tensor(d / "maps.tensor")))
+    assert main(["fuse", str(d / "maps.tensor"), str(d / "zeros.tensor"),
+                 "--output", str(d / "fused.tensor")]) == EXIT_OK
+    return d
+
+
+PROBMAP_OUTPUTS = [f"out.{kind}.f000{i}.{ext}" for i in range(2)
+                   for kind, ext in (("prob", "tensor"), ("enc", "tensor"), ("bins", "json"))]
+
+# manifest name -> (command, reads radar.cfg, inputs, outputs, seed, extra keys)
+PIPELINE_MANIFESTS = {
+    "cap.bin": ("simulate", True, ["scene.json"], ["cap.h.bin", "cap.v.bin"], 5,
+                {"frames": 2, "scale": 1000.0}),
+    "maps.tensor": ("heatmap", True, ["cap.h.bin"], ["maps.tensor"], None,
+                    {"branch": "fft", "doppler_keep": 0, "doppler_window": 0.5}),
+    "out": ("probmap", True, ["cap.h.bin", "cap.v.bin"], PROBMAP_OUTPUTS, None,
+            {"cfar": {"guard": 5, "reference": 16, "pfa": 1e-3}, "pe_depth": 32, "angle_fft": 4}),
+    "fused.tensor": ("fuse", False, ["maps.tensor", "zeros.tensor"], ["fused.tensor"], None, {}),
+    "metrics.json": ("eval", False, ["pred.json", "gt.json", "oks.cfg"], ["metrics.json"],
+                     None, {}),
+}
+
+
+@pytest.mark.parametrize("name", list(PIPELINE_MANIFESTS))
+def test_every_manifest_key_and_value(pipeline_dir, name):
+    command, reads_config, inputs, outputs, seed, extra = PIPELINE_MANIFESTS[name]
+    doc = json.loads((pipeline_dir / f"{name}.manifest.json").read_text())
+    assert isinstance(doc.pop("timestamp_utc"), str)
+
+    def digests(names):
+        return {str(pipeline_dir / n): sha256_file(pipeline_dir / n) for n in names}
+
+    assert doc == {
+        "command": command,
+        "config_sha256": sha256_file(pipeline_dir / "radar.cfg") if reads_config else None,
+        "inputs": digests(inputs),
+        "outputs": digests(outputs),
+        "seed": seed,
+        "tool_version": __version__,
+        **extra,
+    }
 
 
 def test_probmap_computes_one_rd_map_per_cube(tmp_path, cfg_file, monkeypatch):
@@ -1047,6 +1143,17 @@ def test_simulate_failing_frame_leaves_no_capture(tmp_path, cfg_file, monkeypatc
     ]) == EXIT_CONTRACT
     # no partial capture, and the capture that was there is untouched
     assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_simulate_failing_rename_leaves_no_part_file(tmp_path, cfg_file, capsys):
+    scene = write_scene(tmp_path, targets=[{"range": 5.0}])
+    (tmp_path / "cap.v.bin").mkdir()  # the vertical capture cannot replace a directory
+    assert main([
+        "simulate", scene, "--config", cfg_file, "--output", str(tmp_path / "cap.bin"),
+        "--radar", "both",
+    ]) == EXIT_DATA
+    assert "data error" in capsys.readouterr().err
+    assert list(tmp_path.glob("*.part")) == []
 
 
 def planar_simulate(tmp_path, radar="both", output="cap.bin", frames=3):

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -72,6 +73,15 @@ def test_frame_rate_is_optional():
 def test_geometry_must_cover_virtual_array():
     with pytest.raises(ConfigError, match="geometry"):
         parse_config_text(GOOD + "azimuth_antennas = 3\nelevation_antennas = 2\n")
+
+
+def test_cube_past_numpy_size_limit_is_rejected():
+    # 16 chirps x 8 antennas x 16-byte complex128 values: 2048 bytes per ADC sample
+    largest = sys.maxsize // 2048
+    parse_config_text(GOOD.replace("num_adc_samples = 64", f"num_adc_samples = {largest}"))
+    for n in (largest + 1, 2 ** 62):
+        with pytest.raises(ConfigError, match="complex128"):
+            parse_config_text(GOOD.replace("num_adc_samples = 64", f"num_adc_samples = {n}"))
 
 
 def test_chirp_interval_default():
