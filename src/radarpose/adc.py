@@ -41,7 +41,9 @@ class TruncatedCaptureError(AdcError):
 
     def __init__(self, expected: int, actual: int, path: str | None = None,
                  frame: int | None = None):
-        if frame is None:
+        if frame is None and actual == 0:
+            what = "the capture is empty"
+        elif frame is None:
             what = (f"length {actual} bytes is not a whole multiple "
                     f"of the {expected}-byte frame size")
         else:
@@ -113,44 +115,61 @@ def _shapes(num_frames: int, layout: AdcLayout, config: RadarConfig) -> tuple:
 
 
 def parse_cubes(
-    data: bytes, layout: AdcLayout, config: RadarConfig, radar_id: str = HORIZONTAL
+    data: bytes, layout: AdcLayout, config: RadarConfig, radar_id: str = HORIZONTAL,
+    out: np.ndarray | None = None,
 ) -> list[RadarCube]:
     """Parse a capture straight into one RadarCube per frame.
 
     The cubes are views of one (frame, n, m, v) complex128 array, written by
     one transposed copy of the real lanes and one of the imaginary lanes.
+    That array is ``out``, a C-contiguous buffer a caller may reuse, or a
+    fresh one when ``out`` is None.
     """
     num_frames = _whole_frames(len(data), frame_byte_size(layout, config))
     lane_shape, grid_shape = _shapes(num_frames, layout, config)
     lanes = np.frombuffer(data, dtype="<i2").reshape(lane_shape)
-    grid = np.empty(grid_shape, dtype=np.complex128)
+    shape = (num_frames, config.num_adc_samples, config.num_chirps, config.num_virtual)
+    stack = np.empty(shape, dtype=np.complex128) if out is None else out
+    # only a C-contiguous buffer reshapes to a view, not a copy
+    if stack.shape != shape or stack.dtype != np.complex128 or not stack.flags.c_contiguous:
+        raise AdcError(f"cube buffer is {stack.dtype}{stack.shape}, expected C-contiguous "
+                       f"complex128{shape}")
+    grid = stack.reshape(grid_shape)
     # (frame, chirp, tx, rx, group, lane) -> (frame, group, lane, chirp, tx, rx)
     grid.real = lanes[..., 0, :].transpose(0, 4, 5, 1, 2, 3)
     grid.imag = lanes[..., 1, :].transpose(0, 4, 5, 1, 2, 3)
-    stack = grid.reshape(
-        num_frames, config.num_adc_samples, config.num_chirps, config.num_virtual
-    )
     return [
         RadarCube(data=frame, frame_index=i, radar_id=radar_id)
         for i, frame in enumerate(stack)
     ]
 
 
-def read_capture(path: str, config: RadarConfig, radar_id: str) -> tuple[int, Iterator[RadarCube]]:
+def read_capture(
+    path: str, config: RadarConfig, radar_id: str, digest=None
+) -> tuple[int, Iterator[RadarCube]]:
     """Frame count of the capture at ``path`` and an iterator that reads and
-    parses one frame per step.
+    parses one frame per step, updating ``digest`` (a hashlib object, if
+    given) with each frame's bytes as read.
 
     The capture length is checked here, before any frame is read. The
     iterator opens the file on its first step and reads each frame into one
-    reused buffer, so only the current frame's raw bytes and cube are held.
-    A capture that shrinks after the check raises at the first short frame.
+    reused buffer. It parses frame i into cube buffer i % 2, so a cube stays
+    valid until two more frames have been read, and the iterator may step on
+    another thread while the previous cube is in use. A capture that shrinks
+    after the check raises at the first short frame.
     """
     layout = AdcLayout()
     fsize = frame_byte_size(layout, config)
     num_frames = _whole_frames(os.stat(path).st_size, fsize, path)
+    # allocated here, on the caller's thread: glibc gives any other thread the
+    # iterator steps on its own malloc arena, which keeps the pages of freed
+    # frame-sized buffers resident
+    raw = bytearray(fsize)
+    cubes = np.empty(
+        (2, 1, config.num_adc_samples, config.num_chirps, config.num_virtual), dtype=np.complex128
+    )
 
     def frames():
-        raw = bytearray(fsize)
         # unbuffered: one read per frame, straight into ``raw``; a regular
         # file reads short only at its end
         with open(path, "rb", buffering=0) as fh:
@@ -158,8 +177,9 @@ def read_capture(path: str, config: RadarConfig, radar_id: str) -> tuple[int, It
                 got = fh.readinto(raw)
                 if got != fsize:
                     raise TruncatedCaptureError(fsize, got, path, frame=i)
-                # parse_cubes copies into a fresh grid, so no cube aliases ``raw``
-                (cube,) = parse_cubes(raw, layout, config, radar_id=radar_id)
+                if digest is not None:
+                    digest.update(raw)
+                (cube,) = parse_cubes(raw, layout, config, radar_id=radar_id, out=cubes[i % 2])
                 yield replace(cube, frame_index=i)
 
     return num_frames, frames()

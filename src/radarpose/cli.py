@@ -58,8 +58,9 @@ def _write_captures(args, scene, config) -> dict[str, str]:
     the frames as they are written.
 
     Frames stream into <output>.part files, renamed only once every frame of
-    every radar is written, so a failing frame leaves no capture behind and
-    a failing rename no .part file.
+    every radar is written, so a failing frame leaves no capture behind. A
+    failing rename leaves no .part file, and removes the captures already
+    renamed, so a failing run leaves none of its outputs.
     A horizontal error stops the worker before its next frame (``_each_radar``).
     """
     layout = adc.AdcLayout()
@@ -97,14 +98,16 @@ def _write_captures(args, scene, config) -> dict[str, str]:
 
     from concurrent.futures import ThreadPoolExecutor  # see cmd_probmap
 
+    renamed = []
     try:
         with ThreadPoolExecutor(max_workers=1) as worker:
             digests = _each_radar(worker, write_radar, jobs, stop)
         for (_, path), part in zip(outputs, parts):
             os.replace(part, path)
+            renamed.append(path)
     except BaseException:
-        for part in parts:
-            Path(part).unlink(missing_ok=True)
+        for path in parts + renamed:
+            Path(path).unlink(missing_ok=True)
         raise
     return {path: digest for (_, path), digest in zip(outputs, digests)}
 
@@ -128,6 +131,18 @@ def _each_radar(worker, job, radars, stop=None) -> list:
     return results + [future.result() for future in futures]
 
 
+def _read_ahead(executor, items):
+    """Yield ``items`` in order while the one-thread ``executor`` takes the
+    next: ``next(items)`` for item k+1 is submitted before item k is yielded.
+    A consumer that stops at item k drops item k+1, or its error, as a
+    serial run would never have taken it."""
+    end = object()
+    pending = executor.submit(next, items, end)
+    while (item := pending.result()) is not end:
+        pending = executor.submit(next, items, end)
+        yield item
+
+
 def _sim_outputs(args):
     if args.radar == "both":
         base = Path(args.output)
@@ -140,28 +155,41 @@ def _sim_outputs(args):
 
 def cmd_heatmap(args) -> dict:
     config = load_config(args.config)
-    num_frames, cubes = adc.read_capture(args.adc, config, adc.HORIZONTAL)
+    capture = hashlib.sha256()
+    num_frames, cubes = adc.read_capture(args.adc, config, adc.HORIZONTAL, digest=capture)
     fft_branch = args.branch == "fft"
     angle_fft = spectral.angle_fft_length(config)
     # the Doppler flags are checked before any frame is read, the window also
     # when sampling is off
     doppler_bins = spectral.next_pow2(config.num_chirps)
     spectral.doppler_sample_indices(doppler_bins, args.doppler_keep or 1, args.doppler_window)
-    maps = None
-    for i, cube in enumerate(cubes):
-        # the fft branch averages elevation first, so the RD FFT runs on 1/Q of the cube
-        rd = spectral.range_doppler_map(
-            spectral.average_elevation(cube, config) if fft_branch else cube
-        )
-        if args.doppler_keep:
-            rd = spectral.sample_doppler(rd, args.doppler_keep, args.doppler_window)
-        frame = np.fft.fft(rd.data, n=angle_fft, axis=2) if fft_branch else rd.data
-        if maps is None:
-            maps = np.empty((num_frames,) + frame.shape, dtype=frame.dtype)
-        maps[i] = frame
+
+    def maps(cubes):
+        for cube in cubes:
+            # the fft branch averages elevation first, so the RD FFT runs on 1/Q of the cube
+            rd = spectral.range_doppler_map(
+                spectral.average_elevation(cube, config) if fft_branch else cube
+            )
+            if args.doppler_keep:
+                rd = spectral.sample_doppler(rd, args.doppler_keep, args.doppler_window)
+            yield np.fft.fft(rd.data, n=angle_fft, axis=2) if fft_branch else rd.data
+
+    from concurrent.futures import ThreadPoolExecutor  # see cmd_probmap
+
+    # Two threads: the reader reads, hashes and parses frame k+1 while this
+    # one computes frame k and appends its map to the output; the maps stream
+    # into <output>.part, renamed only once every frame is written.
+    part = f"{args.output}.part"
+    try:
+        with ThreadPoolExecutor(max_workers=1) as reader:
+            digest = tensorio.write_frames(part, num_frames, maps(_read_ahead(reader, cubes)))
+        os.replace(part, args.output)
+    except BaseException:
+        Path(part).unlink(missing_ok=True)
+        raise
     return {
-        "inputs": {args.adc: None},
-        "outputs": {args.output: tensorio.write_tensor(args.output, maps)},
+        "inputs": {args.adc: capture.hexdigest()},
+        "outputs": {args.output: digest},
         "extra": {"branch": args.branch, "doppler_keep": args.doppler_keep,
                   "doppler_window": args.doppler_window},
     }

@@ -1,3 +1,7 @@
+import hashlib
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +15,7 @@ from radarpose.adc import (
     TruncatedCaptureError,
     frame_byte_size,
     parse_cubes,
+    read_capture,
     serialize_cubes,
 )
 from radarpose.config import RadarConfig
@@ -38,6 +43,64 @@ def test_partial_frame_is_truncated(small_config):
         parse_cubes(b"\x00" * (size - 2), AdcLayout(), small_config)
     assert err.value.expected == size
     assert err.value.actual == size - 2
+
+
+def test_parse_into_a_buffer_fills_it_and_rejects_one_of_another_shape(small_config, rng):
+    raw = rng.integers(-500, 500, 2 * frame_byte_size(AdcLayout(), small_config) // 2,
+                       dtype="<i2").tobytes()
+    out = np.empty((2, 4, 2, 4), dtype=np.complex128)
+    cubes = parse_cubes(raw, AdcLayout(), small_config, out=out)
+    for cube, expected in zip(cubes, parse_cubes(raw, AdcLayout(), small_config)):
+        assert np.shares_memory(cube.data, out)
+        np.testing.assert_array_equal(cube.data, expected.data)
+    for bad in (np.empty((1, 4, 2, 4), complex), np.empty((2, 4, 2, 4)),
+                np.empty((2, 4, 2, 8), complex)[..., ::2]):
+        with pytest.raises(AdcError, match="cube buffer"):
+            parse_cubes(raw, AdcLayout(), small_config, out=bad)
+
+
+def test_read_capture_hashes_each_frame_and_parses_into_two_buffers(tmp_path, sim_config, rng):
+    size = frame_byte_size(AdcLayout(), sim_config)
+    raw = rng.integers(-2000, 2000, 5 * size // 2, dtype="<i2").tobytes()
+    path = tmp_path / "cap.bin"
+    path.write_bytes(raw)
+    digest = hashlib.sha256()
+    count, frames = read_capture(str(path), sim_config, "vertical", digest=digest)
+    cubes = list(frames)
+    assert count == len(cubes) == 5
+    assert digest.hexdigest() == hashlib.sha256(raw).hexdigest()
+    # frame i is parsed into buffer i % 2, which frame 4 or 3 now holds
+    for i, cube in enumerate(cubes):
+        assert (cube.frame_index, cube.radar_id) == (i, "vertical")
+        assert np.shares_memory(cube.data, cubes[4 - i % 2].data)
+        assert not np.shares_memory(cube.data, cubes[3 + i % 2].data)
+    # a cube is the frame it was read from until two more frames are read
+    count, frames = read_capture(str(path), sim_config, "vertical")
+    for i, cube in enumerate(frames):
+        (expected,) = parse_cubes(raw[i * size:(i + 1) * size], AdcLayout(), sim_config)
+        np.testing.assert_array_equal(cube.data, expected.data)
+
+
+def test_read_capture_steps_allocate_no_frame_sized_buffer(tmp_path, sim_config):
+    # a step may run on another thread, whose malloc arena would keep the
+    # pages of a freed frame-sized buffer resident
+    size = frame_byte_size(AdcLayout(), sim_config)
+    path = tmp_path / "cap.bin"
+    path.write_bytes(bytes(3 * size))
+    with ThreadPoolExecutor(max_workers=1) as reader:
+        reader.submit(int).result()  # the thread is started before tracing
+        tracemalloc.start()
+        try:
+            count, frames = read_capture(str(path), sim_config, "horizontal", hashlib.sha256())
+            for _ in range(count):
+                tracemalloc.reset_peak()
+                before, _ = tracemalloc.get_traced_memory()
+                reader.submit(next, frames).result()
+                _, peak = tracemalloc.get_traced_memory()
+                # the int16 frame is a quarter of a complex128 cube
+                assert peak - before < size // 4
+        finally:
+            tracemalloc.stop()
 
 
 def test_hand_built_sixteen_byte_block():

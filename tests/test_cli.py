@@ -210,6 +210,16 @@ def test_truncated_capture_exits_3(tmp_path, cfg_file):
     ]) == EXIT_DATA
 
 
+def test_empty_capture_exits_3_saying_it_is_empty(tmp_path, cfg_file, capsys):
+    cap = tmp_path / "cap.bin"
+    cap.write_bytes(b"")
+    assert main([
+        "heatmap", str(cap), "--config", cfg_file, "--output", str(tmp_path / "o.tensor"),
+    ]) == EXIT_DATA
+    assert f"truncated capture {cap}: the capture is empty" in capsys.readouterr().err
+    assert outputs_written(tmp_path) == []
+
+
 def test_bad_config_exits_2(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("num_tx = 0\n")
@@ -388,6 +398,69 @@ def test_probmap_capture_that_shrinks_mid_run_exits_3(tmp_path, cfg_file, monkey
     ]
 
 
+def test_heatmap_capture_that_shrinks_mid_run_exits_3(tmp_path, cfg_file, monkeypatch, capsys):
+    h, _ = simulate_both(tmp_path, cfg_file, frames=4)
+    original = spectral.range_doppler_map
+
+    def shrinking(cube, *args, **kwargs):
+        # while frame 0 is computed the reader reads frame 1, and frame 2's
+        # read waits for frame 0's map: cutting the capture to 2.5 frames
+        # leaves frame 2 short
+        if h.stat().st_size > 2 * FRAME_BYTES:
+            with open(h, "r+b") as fh:
+                fh.truncate(2 * FRAME_BYTES + FRAME_BYTES // 2)
+        return original(cube, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "range_doppler_map", shrinking)
+    assert main(["heatmap", str(h), "--config", cfg_file,
+                 "--output", str(tmp_path / "maps.tensor")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"truncated capture {h}: frame 2 has {FRAME_BYTES // 2} of its" in err
+    assert outputs_written(tmp_path, "maps") == []
+
+
+def test_heatmap_onto_a_directory_exits_3_and_leaves_no_part_file(tmp_path, cfg_file, capsys):
+    h, _ = simulate_both(tmp_path, cfg_file)
+    (tmp_path / "maps.tensor").mkdir()
+    assert main(["heatmap", str(h), "--config", cfg_file,
+                 "--output", str(tmp_path / "maps.tensor")]) == EXIT_DATA
+    assert "data error" in capsys.readouterr().err
+    assert outputs_written(tmp_path, "maps") == ["maps.tensor"]
+
+
+def test_heatmap_reads_on_one_thread_computes_on_this_one_and_leaves_none(
+    tmp_path, cfg_file, monkeypatch
+):
+    h, _ = simulate_both(tmp_path, cfg_file, frames=4)
+    readers, computers = set(), set()
+    parse, rd_map = adc.parse_cubes, spectral.range_doppler_map
+
+    def parsing(*args, **kwargs):
+        readers.add(threading.get_ident())
+        return parse(*args, **kwargs)
+
+    def computing(*args, **kwargs):
+        computers.add(threading.get_ident())
+        return rd_map(*args, **kwargs)
+
+    monkeypatch.setattr(adc, "parse_cubes", parsing)
+    monkeypatch.setattr(spectral, "range_doppler_map", computing)
+    before = threading.active_count()
+    assert main(["heatmap", str(h), "--config", cfg_file,
+                 "--output", str(tmp_path / "maps.tensor")]) == EXIT_OK
+    assert computers == {threading.get_ident()}
+    assert len(readers) == 1 and not readers & computers
+    assert threading.active_count() == before
+
+
+def test_heatmap_rd_map_error_exits_4_and_leaves_no_output(tmp_path, cfg_file, monkeypatch):
+    h, _ = simulate_both(tmp_path, cfg_file, frames=4)
+    fail_rd_maps_of(monkeypatch, 1, ("horizontal",))
+    assert main(["heatmap", str(h), "--config", cfg_file, "--branch", "rd",
+                 "--output", str(tmp_path / "maps.tensor")]) == EXIT_CONTRACT
+    assert outputs_written(tmp_path, "maps") == []
+
+
 def assert_manifest_digests_are_the_files(manifest_path):
     """Every digest a manifest records equals the SHA-256 of that file on disk."""
     doc = json.loads(Path(manifest_path).read_text())
@@ -461,7 +534,11 @@ def test_no_command_reads_an_output_back_to_hash_it(tmp_path, cfg_file, monkeypa
         hashed.clear()
         assert main(argv) == EXIT_OK, name
         doc = assert_manifest_digests_are_the_files(tmp_path / f"{name}.manifest.json")
-        assert set(doc["inputs"]) <= set(hashed), name
+        if name == "maps.tensor":
+            # heatmap hashes its capture from the frames as it reads them: once
+            assert h not in hashed, name
+        else:
+            assert set(doc["inputs"]) <= set(hashed), name
         assert not set(hashed) & set(doc["outputs"]), name
 
 
@@ -730,6 +807,32 @@ def test_heatmap_memory_is_bounded_by_output_and_a_few_frames(tmp_path):
     # stacking a list of per-frame maps would add a second copy of the output,
     # and holding the capture 16 cubes' worth of int16
     assert peak < output_bytes + 8 * CUBE_BYTES
+
+
+@pytest.mark.parametrize("branch", ["rd", "fft"])
+def test_heatmap_memory_is_bounded_by_a_few_frames(tmp_path, branch):
+    cfg, argv = simulate_64_frames(tmp_path)
+    assert main(argv) == EXIT_OK
+    code, peak = traced_peak(["heatmap", str(tmp_path / "cap.h.bin"), "--config", str(cfg),
+                              "--output", str(tmp_path / "maps.tensor"), "--branch", branch])
+    assert code == EXIT_OK
+    # the frames need two cube buffers, the frame in hand and its FFT
+    # temporaries; the manifest's 1 MiB buffer (8 cubes) comes after they
+    # are freed. Holding the output would add 64 cubes.
+    assert peak < 12 * CUBE_BYTES
+
+
+def test_simulate_failing_rename_removes_the_captures_it_renamed(tmp_path, cfg_file, capsys):
+    scene = write_scene(tmp_path, targets=[{"range": 5.0}])
+    (tmp_path / "cap.h.bin").write_bytes(b"old")
+    (tmp_path / "cap.v.bin").mkdir()  # the vertical capture cannot replace a directory
+    assert main([
+        "simulate", scene, "--config", cfg_file, "--output", str(tmp_path / "cap.bin"),
+        "--radar", "both",
+    ]) == EXIT_DATA
+    assert "data error" in capsys.readouterr().err
+    # the horizontal capture replaced the old file before the vertical rename failed
+    assert outputs_written(tmp_path, "cap") == ["cap.v.bin"]
 
 
 def test_probmap_memory_is_bounded_by_a_few_frames(tmp_path):

@@ -1,11 +1,13 @@
+import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from radarpose.tensorio import MAGIC, TensorFormatError, read_tensor, write_tensor
+from radarpose.tensorio import MAGIC, TensorFormatError, read_tensor, write_frames, write_tensor
 
 
 def test_real_round_trip(tmp_path, rng):
@@ -28,6 +30,60 @@ def test_empty_axis(tmp_path):
     path = tmp_path / "t.tensor"
     write_tensor(path, np.zeros((0, 8, 8)))
     assert read_tensor(path).shape == (0, 8, 8)
+
+
+@pytest.mark.parametrize("frame_shape", [(5,), (3, 4), (2, 3, 4)])
+@pytest.mark.parametrize("complex_", [False, True])
+def test_write_frames_is_write_tensor_of_the_stack(tmp_path, rng, frame_shape, complex_):
+    frames = [rng.standard_normal(frame_shape) for _ in range(3)]
+    if complex_:
+        frames = [f + 1j * rng.standard_normal(frame_shape) for f in frames]
+    # a frame in another layout is written in row-major order all the same
+    frames[1] = np.asfortranarray(frames[1])
+    whole = write_tensor(tmp_path / "whole.tensor", np.stack(frames))
+    streamed = write_frames(tmp_path / "frames.tensor", 3, iter(frames))
+    raw = (tmp_path / "frames.tensor").read_bytes()
+    assert raw == (tmp_path / "whole.tensor").read_bytes()
+    assert streamed == whole == hashlib.sha256(raw).hexdigest()
+
+
+def test_write_frames_opens_the_file_at_the_first_frame(tmp_path):
+    path = tmp_path / "t.tensor"
+
+    def frames():
+        assert not path.exists()
+        yield np.zeros(2)
+        assert path.exists()
+
+    write_frames(path, 1, frames())
+    assert read_tensor(path).shape == (1, 2)
+
+
+@pytest.mark.parametrize("count, frames", [
+    (2, [np.zeros(3), np.zeros(4)]),
+    (2, [np.zeros(3), np.zeros(3, complex)]),
+    (3, [np.zeros(3), np.zeros(3)]),
+    (1, [np.zeros(3), np.zeros(3)]),
+    (0, []),
+])
+def test_write_frames_rejects_unlike_frames_or_a_wrong_count(tmp_path, count, frames):
+    with pytest.raises(ValueError, match="frame"):
+        write_frames(tmp_path / "t.tensor", count, frames)
+
+
+def test_read_tensor_holds_one_copy_of_the_payload(tmp_path, rng):
+    path = tmp_path / "t.tensor"
+    write_tensor(path, rng.standard_normal((64, 16, 8)) + 1j)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        out = read_tensor(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes > 0.99 * size
+    # the raw bytes and a copy of the payload would peak at twice the file
+    assert peak < 1.25 * size
 
 
 def test_header_layout(tmp_path):
