@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, adc, cfar, fusion, manifest, probmap, sim, spectral, tensorio
+from . import __version__, adc, cfar, fusion, probmap, sim, spectral, tensorio
 from .config import ConfigError, load_config
 from .manifest import write_manifest
 from .pose import (
@@ -195,17 +195,26 @@ def cmd_heatmap(args) -> dict:
     }
 
 
-def _probmap_frame(
-    cubes, buffers, fft, config, params, angle_fft, pe, args
-) -> list[tuple[str, object]]:
-    """One frame pair's probmap outputs as (path, array or sidecar bytes) pairs."""
-    frame_index, vectors = cubes[0].frame_index, {}
-    # looked up per frame, so a wrapper installed on the module is called
-    for rd in _each_radar(fft, spectral.range_doppler_map, zip(cubes, buffers)):
-        bins = cfar.select_range_bins(cfar.detect_2d(spectral.magnitude_map(rd), params))
-        angle = spectral.P_AXIS_ANGLE[rd.radar_id]
-        spectrum = probmap.angle_spectrum(rd, config, bins, angle, angle_fft=angle_fft)
-        vectors[angle] = probmap.normalize(spectrum)
+def _radar_vector(cubes, buffer, config, params, angle_fft) -> tuple:
+    """Read one radar's next frame from ``cubes`` and return its frame index,
+    angle and normalised angle vector. The RD map is computed into
+    ``buffer`` and shared by CFAR detection and the angle spectrum."""
+    # looked up per frame, so a wrapper installed on a module is called
+    cube = next(cubes)
+    rd = spectral.range_doppler_map(cube, out=buffer)
+    bins = cfar.select_range_bins(cfar.detect_2d(spectral.magnitude_map(rd), params))
+    angle = spectral.P_AXIS_ANGLE[rd.radar_id]
+    spectrum = probmap.angle_spectrum(rd, config, bins, angle, angle_fft=angle_fft)
+    return cube.frame_index, angle, probmap.normalize(spectrum)
+
+
+def _probmap_frame(radars, fft, angle_fft, pe, args) -> list[tuple[str, object]]:
+    """One frame pair's probmap outputs as (path, array or sidecar bytes)
+    pairs. ``radars`` holds each radar's ``_radar_vector`` arguments, and
+    the two-radar rule runs the vertical one on the worker ``fft``."""
+    results = _each_radar(fft, _radar_vector, radars)
+    frame_index = results[0][0]
+    vectors = {angle: vector for _, angle, vector in results}
     pmap = probmap.probability_map(vectors[spectral.AZIMUTH], vectors[spectral.ELEVATION])
     encoded = probmap.encode_map(pmap, pe)
     sidecar = (json.dumps(
@@ -245,37 +254,40 @@ def _write_files(files: list[tuple[str, object]]) -> dict[str, str]:
 def cmd_probmap(args) -> dict:
     config = load_config(args.config)
     angle_fft = spectral.angle_fft_length(config, args.angle_fft)
-    count_h, cubes_h = adc.read_capture(args.adc_h, config, adc.HORIZONTAL)
-    count_v, cubes_v = adc.read_capture(args.adc_v, config, adc.VERTICAL)
+    # each capture is hashed from its frames as they are read, so it is read once
+    capture_h, capture_v = hashlib.sha256(), hashlib.sha256()
+    count_h, cubes_h = adc.read_capture(args.adc_h, config, adc.HORIZONTAL, digest=capture_h)
+    count_v, cubes_v = adc.read_capture(args.adc_v, config, adc.VERTICAL, digest=capture_v)
     if count_h != count_v:
         raise adc.AdcError(
             f"frame count mismatch: horizontal has {count_h}, vertical has {count_v}"
         )
     params = cfar.CfarParams(guard=args.cfar_guard, reference=args.cfar_ref, pfa=args.pfa)
     pe = probmap.positional_encoding(angle_fft, angle_fft, args.pe_depth)
-    # one RD map buffer per radar, allocated once and reused by every frame
+    # one RD map buffer per radar, allocated once, on this thread, and reused
+    # by every frame
     rd_shape = spectral.range_doppler_shape(
         (config.num_adc_samples, config.num_chirps, config.num_virtual)
     )
-    buffers = [np.empty(rd_shape, dtype=np.complex128) for _ in range(2)]
+    radars = [(cubes, np.empty(rd_shape, dtype=np.complex128), config, params, angle_fft)
+              for cubes in (cubes_h, cubes_v)]
     # imported here: concurrent.futures pulls in logging, about 10 ms of
     # start-up that the commands without threads do not need
     from concurrent.futures import ThreadPoolExecutor
 
-    inputs, outputs = [args.adc_h, args.adc_v], {}
-    # Two threads besides main: the FFT worker of _each_radar, and the writer,
-    # which runs one frame behind: frame k's files are written and hashed
-    # while frame k+1 is computed. Frame k's write is waited on before frame
-    # k+1's is submitted and before any error of frame k+1 escapes, so the
-    # exit code and the files on disk are those of writing each frame in
-    # turn. The writer's first job hashes the input captures; frame 0's
-    # write queues behind it.
+    outputs = {}
+    # Two threads besides main. The FFT worker runs the vertical radar's
+    # whole frame (read, RD map, CFAR, angle spectrum) while this thread runs
+    # the horizontal one, then the map and its encoding. The writer runs one
+    # frame behind: frame k's files are written and hashed while frame k+1
+    # is computed. Frame k's write is waited on before frame k+1's is
+    # submitted and before any error of frame k+1 escapes, so the exit code
+    # and the files on disk are those of writing each frame in turn.
     with ThreadPoolExecutor(max_workers=1) as writer, ThreadPoolExecutor(max_workers=1) as fft:
-        inputs_hashed = writer.submit(lambda: {p: manifest.sha256_file(p) for p in inputs})
         pending = None
         try:
-            for cubes in zip(cubes_h, cubes_v):
-                files = _probmap_frame(cubes, buffers, fft, config, params, angle_fft, pe, args)
+            for _ in range(count_h):
+                files = _probmap_frame(radars, fft, angle_fft, pe, args)
                 if pending is not None:
                     previous, pending = pending, None  # so finally does not wait on it twice
                     outputs.update(previous.result())
@@ -284,7 +296,7 @@ def cmd_probmap(args) -> dict:
             if pending is not None:
                 outputs.update(pending.result())
     return {
-        "inputs": inputs_hashed.result(),
+        "inputs": {args.adc_h: capture_h.hexdigest(), args.adc_v: capture_v.hexdigest()},
         "outputs": outputs,
         "extra": {
             "cfar": {"guard": params.guard, "reference": params.reference, "pfa": params.pfa},

@@ -21,6 +21,9 @@ AZIMUTH = "azimuth"
 ELEVATION = "elevation"
 P_AXIS_ANGLE = {HORIZONTAL: AZIMUTH, VERTICAL: ELEVATION}
 DEFAULT_VELOCITY_WINDOW = 0.5
+# the largest half-block the Doppler shift copies at once: with malloc's
+# header it stays below glibc's default 128 KiB mmap threshold
+_SHIFT_BLOCK_BYTES = 126 << 10
 
 
 class SpectralError(ValueError):
@@ -160,13 +163,19 @@ def range_doppler_map(cube: RadarCube, out: np.ndarray | None = None) -> RangeDo
     np.fft.fft(cube.data, n=shape[0], axis=0, out=out[:, :m])
     out[:, m:] = 0
     np.fft.fft(out, axis=1, out=out)
-    # fftshift: swap the two Doppler halves (M is a power of two) through one
-    # half-size copy
+    # fftshift: swap the two Doppler halves (M is a power of two) a block of
+    # range rows at a time, through one reused copy of at most
+    # _SHIFT_BLOCK_BYTES, which stays in cache and off mmap
     half = shape[1] // 2
     if half:
-        lower = out[:, :half].copy()
-        out[:, :half] = out[:, half:]
-        out[:, half:] = lower
+        rows = max(1, _SHIFT_BLOCK_BYTES // (half * shape[2] * out.itemsize))
+        lower = np.empty((min(rows, shape[0]), half, shape[2]), dtype=out.dtype)
+        for start in range(0, shape[0], rows):
+            block = out[start:start + rows]
+            held = lower[:len(block)]
+            held[...] = block[:, :half]
+            block[:, :half] = block[:, half:]
+            block[:, half:] = held
     return RangeDopplerMap(data=out, fft_lengths=shape[:2], radar_id=cube.radar_id)
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from radarpose import __version__, adc, manifest, probmap, sim, spectral, tensorio
+from radarpose import __version__, adc, cfar, manifest, probmap, sim, spectral, tensorio
 from radarpose.cli import EXIT_CONTRACT, EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
 from radarpose.config import config_text, load_config
 from radarpose.manifest import sha256_file
@@ -534,9 +534,10 @@ def test_no_command_reads_an_output_back_to_hash_it(tmp_path, cfg_file, monkeypa
         hashed.clear()
         assert main(argv) == EXIT_OK, name
         doc = assert_manifest_digests_are_the_files(tmp_path / f"{name}.manifest.json")
-        if name == "maps.tensor":
-            # heatmap hashes its capture from the frames as it reads them: once
-            assert h not in hashed, name
+        if name in ("maps.tensor", "out"):
+            # heatmap and probmap hash their captures from the frames as they
+            # read them: once
+            assert not {h, v} & set(hashed), name
         else:
             assert set(doc["inputs"]) <= set(hashed), name
         assert not set(hashed) & set(doc["outputs"]), name
@@ -748,6 +749,107 @@ def test_probmap_rd_map_error_stops_at_that_frame_in_serial_order(
          "--config", cfg_file, "--output", str(tmp_path / "again")],
         spectral.SpectralError, radars, reported,
     )
+
+
+def test_probmap_runs_each_radar_on_its_own_thread_and_equals_the_serial_composition(
+    tmp_path, cfg_file, monkeypatch
+):
+    h, v = simulate_both(tmp_path, cfg_file, frames=3)
+    config = load_config(cfg_file)
+    params = cfar.CfarParams(guard=2, reference=4, pfa=1e-3)
+    angle_fft = spectral.angle_fft_length(config)
+    pe = probmap.positional_encoding(angle_fft, angle_fft, 8)
+    # the serial composition of the library calls probmap makes, frame by
+    # frame and radar by radar; ``owner`` maps each magnitude map to its radar
+    owner, want = {}, []
+    cubes = {radar_id: adc.parse_cubes(path.read_bytes(), adc.AdcLayout(), config, radar_id)
+             for radar_id, path in (("horizontal", h), ("vertical", v))}
+    for i in range(3):
+        vectors = {}
+        for radar_id, frames in cubes.items():
+            rd = spectral.range_doppler_map(frames[i])
+            magnitude = spectral.magnitude_map(rd)
+            owner[magnitude.tobytes()] = radar_id
+            bins = cfar.select_range_bins(cfar.detect_2d(magnitude, params))
+            angle = spectral.P_AXIS_ANGLE[radar_id]
+            vectors[angle] = probmap.normalize(
+                probmap.angle_spectrum(rd, config, bins, angle, angle_fft=angle_fft))
+        pmap = probmap.probability_map(vectors[spectral.AZIMUTH], vectors[spectral.ELEVATION])
+        want.append((pmap.values, probmap.encode_map(pmap, pe)))
+    assert len(owner) == 6 and any(values.size for values, _ in want)
+
+    calls = []  # (function, radar, thread)
+
+    def record(module, name, radar_of):
+        original = getattr(module, name)
+
+        def recording(*args, **kwargs):
+            calls.append((name, radar_of(*args, **kwargs), threading.get_ident()))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recording)
+
+    record(adc, "parse_cubes", lambda *args, radar_id, **kwargs: radar_id)
+    record(spectral, "range_doppler_map", lambda cube, **kwargs: cube.radar_id)
+    record(cfar, "detect_2d", lambda magnitude, params: owner[magnitude.tobytes()])
+    record(probmap, "angle_spectrum", lambda rd, *args, **kwargs: rd.radar_id)
+    before = threading.active_count()
+    prefix = tmp_path / "out"
+    assert main(["probmap", str(h), str(v), "--config", cfg_file, "--output", str(prefix),
+                 "--cfar-guard", "2", "--cfar-ref", "4", "--pfa", "1e-3",
+                 "--pe-depth", "8"]) == EXIT_OK
+    assert threading.active_count() == before
+    assert sorted((name, radar) for name, radar, _ in calls) == sorted(
+        (name, radar) for name in ("parse_cubes", "range_doppler_map", "detect_2d",
+                                   "angle_spectrum")
+        for radar in ("horizontal", "vertical") for _ in range(3))
+    # every horizontal call on this thread, every vertical one on one other thread
+    threads = {radar: {thread for _, r, thread in calls if r == radar}
+               for radar in ("horizontal", "vertical")}
+    assert threads["horizontal"] == {threading.get_ident()}
+    assert len(threads["vertical"]) == 1 and threading.get_ident() not in threads["vertical"]
+    for i, (values, encoded) in enumerate(want):
+        for kind, array in (("prob", values), ("enc", encoded)):
+            got = read_tensor(f"{prefix}.{kind}.f000{i}.tensor")
+            assert got.shape == array.shape and got.tobytes() == array.tobytes(), (kind, i)
+
+
+def test_probmap_reports_a_horizontal_rd_error_over_a_vertical_read_error_of_its_frame(
+    tmp_path, cfg_file, monkeypatch, capsys
+):
+    # A radar's frame is read, RD map, CFAR and angle spectrum, in that
+    # order. At frame 1 the horizontal RD map fails and the vertical capture,
+    # cut while frame 0 is encoded, reads short: the horizontal error is the
+    # one reported (exit 4), with the vertical read error as its cause.
+    h, v = simulate_both(tmp_path, cfg_file, frames=3)
+    whole = v.read_bytes()
+    fail_rd_maps_of(monkeypatch, 1, ("horizontal",))
+    original = probmap.encode_map
+
+    def shrinking(pmap, pe):
+        if v.stat().st_size > FRAME_BYTES:
+            with open(v, "r+b") as fh:
+                fh.truncate(FRAME_BYTES + FRAME_BYTES // 2)
+        return original(pmap, pe)
+
+    monkeypatch.setattr(probmap, "encode_map", shrinking)
+    before = threading.active_count()
+    argv = ["probmap", str(h), str(v), "--config", cfg_file, "--output", str(tmp_path / "out")]
+    assert main(argv) == EXIT_CONTRACT
+    assert capsys.readouterr().err.splitlines() == [
+        "contract violation: horizontal frame 1 fails"]
+    assert sorted(outputs_written(tmp_path, "out")) == [
+        "out.bins.f0000.json", "out.enc.f0000.tensor", "out.prob.f0000.tensor",
+    ]
+    assert threading.active_count() == before
+    v.write_bytes(whole)
+    args = build_parser().parse_args(argv[:-1] + [str(tmp_path / "again")])
+    with pytest.raises(spectral.SpectralError, match="^horizontal frame 1 fails$") as raised:
+        args.func(args)
+    cause = raised.value.__cause__
+    assert isinstance(cause, adc.TruncatedCaptureError)
+    assert str(cause) == (f"truncated capture {v}: frame 1 has {FRAME_BYTES // 2} of its "
+                          f"{FRAME_BYTES} bytes; the capture shrank during the run")
 
 
 # 64x16x8 cubes: one frame is 32 KiB of int16 and 128 KiB of complex128
