@@ -8,11 +8,14 @@ samples and the last ``lanes/2`` values are the matching imaginary parts.
 Within one frame the complex samples stream in the order (chirp m, tx t,
 rx r, sample n), and the sample at stream position (m, t, r, n) is cube
 element (n, m, v) with virtual antenna v = t * num_rx + r. Viewed as int16,
-a capture is the array (frame, m, t, r, n // half, re|im, half) with
+a capture is the array (frame, m, v, n // half, re|im, half) with
 half = lanes/2; parsing and serializing are one transpose of that array
-to and from (frame, n, m, v). Serializing rounds one frame at a time
-(``quantize_frame``) through a float64 block into int16 lanes, both of
-which a caller can reuse for every frame.
+to and from (frame, n, m, v). A parse may take a slice of the v axis (the
+antennas a caller reads, such as one elevation row), and then converts
+only those antennas; the frame is still read, and hashed, whole.
+Serializing rounds one frame at a time (``quantize_frame``) through a
+float64 block into int16 lanes, both of which a caller can reuse for every
+frame.
 """
 
 from __future__ import annotations
@@ -101,8 +104,8 @@ def _whole_frames(size: int, fsize: int, path: str | None = None) -> int:
     return size // fsize
 
 
-def _shapes(num_frames: int, layout: AdcLayout, config: RadarConfig) -> tuple:
-    """(lane, grid) shapes of ``num_frames`` frames; see the module docstring."""
+def _lane_shape(num_frames: int, layout: AdcLayout, config: RadarConfig) -> tuple:
+    """Shape of ``num_frames`` frames as int16 lanes; see the module docstring."""
     half = layout.lanes // 2
     if config.num_adc_samples % half:
         raise AdcError(
@@ -110,15 +113,15 @@ def _shapes(num_frames: int, layout: AdcLayout, config: RadarConfig) -> tuple:
             f"lanes/2={half}"
         )
     groups = config.num_adc_samples // half
-    m, t, r = config.num_chirps, config.num_tx, config.num_rx
-    return (num_frames, m, t, r, groups, 2, half), (num_frames, groups, half, m, t, r)
+    return num_frames, config.num_chirps, config.num_virtual, groups, 2, half
 
 
 def parse_cubes(
     data: bytes, layout: AdcLayout, config: RadarConfig, radar_id: str = HORIZONTAL,
-    out: np.ndarray | None = None,
+    out: np.ndarray | None = None, antennas: slice = slice(None),
 ) -> list[RadarCube]:
-    """Parse a capture straight into one RadarCube per frame.
+    """Parse a capture straight into one RadarCube per frame, keeping the
+    virtual antennas ``antennas`` selects (all of them by default).
 
     The cubes are views of one (frame, n, m, v) complex128 array, written by
     one transposed copy of the real lanes and one of the imaginary lanes.
@@ -126,18 +129,21 @@ def parse_cubes(
     fresh one when ``out`` is None.
     """
     num_frames = _whole_frames(len(data), frame_byte_size(layout, config))
-    lane_shape, grid_shape = _shapes(num_frames, layout, config)
-    lanes = np.frombuffer(data, dtype="<i2").reshape(lane_shape)
-    shape = (num_frames, config.num_adc_samples, config.num_chirps, config.num_virtual)
+    lane_shape = _lane_shape(num_frames, layout, config)
+    # a slice of the antenna axis is a view: the selected antennas' lanes
+    # are copied with the same long inner loops as all of them
+    lanes = np.frombuffer(data, dtype="<i2").reshape(lane_shape)[:, :, antennas]
+    _, m, v, groups, _, half = lanes.shape
+    shape = (num_frames, config.num_adc_samples, m, v)
     stack = np.empty(shape, dtype=np.complex128) if out is None else out
     # only a C-contiguous buffer reshapes to a view, not a copy
     if stack.shape != shape or stack.dtype != np.complex128 or not stack.flags.c_contiguous:
         raise AdcError(f"cube buffer is {stack.dtype}{stack.shape}, expected C-contiguous "
                        f"complex128{shape}")
-    grid = stack.reshape(grid_shape)
-    # (frame, chirp, tx, rx, group, lane) -> (frame, group, lane, chirp, tx, rx)
-    grid.real = lanes[..., 0, :].transpose(0, 4, 5, 1, 2, 3)
-    grid.imag = lanes[..., 1, :].transpose(0, 4, 5, 1, 2, 3)
+    grid = stack.reshape(num_frames, groups, half, m, v)
+    # (frame, chirp, antenna, group, lane) -> (frame, group, lane, chirp, antenna)
+    grid.real = lanes[..., 0, :].transpose(0, 3, 4, 1, 2)
+    grid.imag = lanes[..., 1, :].transpose(0, 3, 4, 1, 2)
     return [
         RadarCube(data=frame, frame_index=i, radar_id=radar_id)
         for i, frame in enumerate(stack)
@@ -145,18 +151,21 @@ def parse_cubes(
 
 
 def read_capture(
-    path: str, config: RadarConfig, radar_id: str, digest=None
+    path: str, config: RadarConfig, radar_id: str, digest=None, antennas: slice = slice(None)
 ) -> tuple[int, Iterator[RadarCube]]:
     """Frame count of the capture at ``path`` and an iterator that reads and
-    parses one frame per step, updating ``digest`` (a hashlib object, if
+    parses one frame per step, keeping the virtual antennas ``antennas``
+    selects (``parse_cubes``) and updating ``digest`` (a hashlib object, if
     given) with each frame's bytes as read.
 
     The capture length is checked here, before any frame is read. The
-    iterator opens the file on its first step and reads each frame into one
-    reused buffer. It parses frame i into cube buffer i % 2, so a cube stays
-    valid until two more frames have been read, and the iterator may step on
-    another thread while the previous cube is in use. A capture that shrinks
-    after the check raises at the first short frame.
+    iterator opens the file on its first step and reads each whole frame
+    into one reused buffer, so ``digest`` covers every byte of the capture
+    whichever antennas are kept. It parses frame i into cube buffer i % 2,
+    each sized to the kept antennas, so a cube stays valid until two more
+    frames have been read, and the iterator may step on another thread
+    while the previous cube is in use. A capture that shrinks after the
+    check raises at the first short frame.
     """
     layout = AdcLayout()
     fsize = frame_byte_size(layout, config)
@@ -165,9 +174,8 @@ def read_capture(
     # iterator steps on its own malloc arena, which keeps the pages of freed
     # frame-sized buffers resident
     raw = bytearray(fsize)
-    cubes = np.empty(
-        (2, 1, config.num_adc_samples, config.num_chirps, config.num_virtual), dtype=np.complex128
-    )
+    kept = len(range(config.num_virtual)[antennas])
+    cubes = np.empty((2, 1, config.num_adc_samples, config.num_chirps, kept), dtype=np.complex128)
 
     def frames():
         # unbuffered: one read per frame, straight into ``raw``; a regular
@@ -179,7 +187,8 @@ def read_capture(
                     raise TruncatedCaptureError(fsize, got, path, frame=i)
                 if digest is not None:
                     digest.update(raw)
-                (cube,) = parse_cubes(raw, layout, config, radar_id=radar_id, out=cubes[i % 2])
+                (cube,) = parse_cubes(raw, layout, config, radar_id=radar_id,
+                                      out=cubes[i % 2], antennas=antennas)
                 yield replace(cube, frame_index=i)
 
     return num_frames, frames()
@@ -187,7 +196,7 @@ def read_capture(
 
 def frame_lanes(layout: AdcLayout, config: RadarConfig, num_frames: int = 1) -> np.ndarray:
     """Uninitialised int16 lanes of ``num_frames`` frames, as the capture holds them."""
-    return np.empty(_shapes(num_frames, layout, config)[0], dtype="<i2")
+    return np.empty(_lane_shape(num_frames, layout, config), dtype="<i2")
 
 
 def quantize_frame(
@@ -204,7 +213,7 @@ def quantize_frame(
         config.num_adc_samples, config.num_chirps, config.num_virtual)
     if cube.data.shape != shape:
         raise AdcError(f"cube shape {cube.data.shape} does not match config {shape}")
-    (_, _, t, r, groups, _, half), _ = _shapes(1, layout, config)
+    _, _, _, groups, _, half = _lane_shape(1, layout, config)
     # antenna v's samples in (n, m) order as row v: a view of simulated and of
     # parsed cubes
     columns = cube.data.transpose(2, 0, 1).reshape(v_count, n_count * m_count)
@@ -215,9 +224,9 @@ def quantize_frame(
         # fails, the imaginary part is only scanned for the frame's peak
         lo, hi = np.minimum(lo, block.min()), np.maximum(hi, block.max())
         if INT16_MIN <= lo and hi <= INT16_MAX:
-            # (tx, rx, group, lane, chirp) -> (chirp, tx, rx, group, lane)
-            lanes[..., lane, :] = block.reshape(t, r, groups, half, m_count).transpose(
-                4, 0, 1, 2, 3)
+            # (antenna, group, lane, chirp) -> (chirp, antenna, group, lane)
+            lanes[..., lane, :] = block.reshape(v_count, groups, half, m_count).transpose(
+                3, 0, 1, 2)
     if not (INT16_MIN <= lo and hi <= INT16_MAX):
         peak = lo if -lo > hi else hi
         raise AdcError(

@@ -155,9 +155,13 @@ def _sim_outputs(args):
 
 def cmd_heatmap(args) -> dict:
     config = load_config(args.config)
-    capture = hashlib.sha256()
-    num_frames, cubes = adc.read_capture(args.adc, config, adc.HORIZONTAL, digest=capture)
     fft_branch = args.branch == "fft"
+    # the fft branch reads elevation row 0 alone (``average_elevation``), so
+    # only those antennas are parsed; the capture is still hashed whole
+    antennas = spectral.elevation_row_zero(config) if fft_branch else slice(None)
+    capture = hashlib.sha256()
+    num_frames, cubes = adc.read_capture(args.adc, config, adc.HORIZONTAL, digest=capture,
+                                         antennas=antennas)
     angle_fft = spectral.angle_fft_length(config)
     # the Doppler flags are checked before any frame is read, the window also
     # when sampling is off
@@ -166,23 +170,22 @@ def cmd_heatmap(args) -> dict:
 
     def maps(cubes):
         for cube in cubes:
-            # the fft branch averages elevation first, so the RD FFT runs on 1/Q of the cube
-            rd = spectral.range_doppler_map(
-                spectral.average_elevation(cube, config) if fft_branch else cube
-            )
+            rd = spectral.range_doppler_map(cube)
             if args.doppler_keep:
                 rd = spectral.sample_doppler(rd, args.doppler_keep, args.doppler_window)
             yield np.fft.fft(rd.data, n=angle_fft, axis=2) if fft_branch else rd.data
 
     from concurrent.futures import ThreadPoolExecutor  # see cmd_probmap
 
-    # Two threads: the reader reads, hashes and parses frame k+1 while this
-    # one computes frame k and appends its map to the output; the maps stream
-    # into <output>.part, renamed only once every frame is written.
+    # Two threads. This one only computes frame k's map; the reader reads,
+    # hashes and parses frame k+1, and appends and hashes frame k-1's map
+    # (``tensorio.write_frames``). The maps stream into <output>.part,
+    # renamed only once every frame is written.
     part = f"{args.output}.part"
     try:
         with ThreadPoolExecutor(max_workers=1) as reader:
-            digest = tensorio.write_frames(part, num_frames, maps(_read_ahead(reader, cubes)))
+            digest = tensorio.write_frames(part, num_frames, maps(_read_ahead(reader, cubes)),
+                                           reader)
         os.replace(part, args.output)
     except BaseException:
         Path(part).unlink(missing_ok=True)

@@ -54,6 +54,14 @@ def antenna_grid(data: np.ndarray, config: RadarConfig) -> np.ndarray:
     return data.reshape(data.shape[:-1] + (p, q))
 
 
+def elevation_row_zero(config: RadarConfig) -> slice:
+    """The P virtual antennas v = p*Q of elevation row q = 0, as a slice of
+    the antenna axis: what ``average_elevation`` keeps, so a caller that
+    reads only row 0 can parse only these (``adc.parse_cubes``)."""
+    p, q = config.array_shape
+    return slice(0, p * q, q)
+
+
 def angle_fft_length(config: RadarConfig, requested: int | None = None) -> int:
     """Angle-FFT length: ``requested``, or ``next_pow2(P)`` if 0 or None; below P raises."""
     p = config.array_shape[0]
@@ -95,12 +103,13 @@ def average_elevation(
 ) -> RadarCube | RangeDopplerMap:
     """Complex elevation averaging: keep the P antennas of elevation row q = 0.
 
-    Row 0 is ``antenna_grid(data)[..., 0]``, a view of the same type. The
-    complex mean over the zero-padded elevation-FFT axis of the 4-D FFT is
-    the inverse DFT at q = 0, so it equals the P-axis FFT of elevation row 0
-    alone; transforming that row is 1/Q of the work.
+    Row 0 is ``data[..., elevation_row_zero(config)]``, a view of the same
+    type. The complex mean over the zero-padded elevation-FFT axis of the
+    4-D FFT is the inverse DFT at q = 0, so it equals the P-axis FFT of
+    elevation row 0 alone; transforming that row is 1/Q of the work.
     """
-    return replace(x, data=antenna_grid(x.data, config)[..., 0])
+    antenna_grid(x.data, config)  # checks the antenna count
+    return replace(x, data=x.data[..., elevation_row_zero(config)])
 
 
 def doppler_sample_indices(m: int, keep: int, velocity_window: float) -> np.ndarray:

@@ -51,30 +51,48 @@ def write_tensor(path: str | Path, data: np.ndarray) -> str:
     return digest.hexdigest()
 
 
-def write_frames(path: str | Path, count: int, frames: Iterable[np.ndarray]) -> str:
+def write_frames(path: str | Path, count: int, frames: Iterable[np.ndarray], writer) -> str:
     """Write ``count`` frames of one shape and element type as the tensor
     ``write_tensor(path, np.stack(frames))`` writes, one frame at a time, and
     return the hex SHA-256 of the bytes written.
 
-    The file is opened and its header written when the first frame arrives;
-    each frame is appended and hashed as it arrives, so the frames are never
-    held together. A frame unlike the first, or a frame count other than
+    The file is opened when the first frame arrives. Each frame is encoded
+    on this thread as it arrives, then appended (the first after the
+    header) and hashed on the one-thread executor ``writer`` while the next
+    frame is taken, so the frames are never held together and ``writer``
+    allocates nothing frame-sized. Frame k's append is waited on before
+    frame k+1's is submitted, before any error of frame k+1 escapes and
+    before the file is closed, so errors come as writing each frame in turn
+    would raise them. A frame unlike the first, or a frame count other than
     ``count`` (at least 1), raises ValueError.
     """
-    digest, header, written = hashlib.sha256(), None, 0
+    digest, header, written, pending = hashlib.sha256(), None, 0, None
+
+    def append(*chunks) -> None:
+        for chunk in chunks:
+            fh.write(chunk)
+            digest.update(chunk)
+
     with contextlib.ExitStack() as stack:
-        for frame in frames:
-            frame = np.asarray(frame)
-            frame_header, payload = _encode((count, *frame.shape), frame)
-            if header is None:
-                header, fh = frame_header, stack.enter_context(open(path, "wb"))
-                fh.write(header)
-                digest.update(header)
-            elif frame_header != header:
-                raise ValueError(f"{path}: frame {written} differs from frame 0 in shape or type")
-            fh.write(memoryview(payload))
-            digest.update(payload)
-            written += 1
+        try:
+            for frame in frames:
+                frame = np.asarray(frame)
+                frame_header, payload = _encode((count, *frame.shape), frame)
+                chunks = (memoryview(payload),)
+                if header is None:
+                    header, fh = frame_header, stack.enter_context(open(path, "wb"))
+                    chunks = (header, *chunks)
+                elif frame_header != header:
+                    raise ValueError(
+                        f"{path}: frame {written} differs from frame 0 in shape or type")
+                if pending is not None:
+                    previous, pending = pending, None  # so finally does not wait on it twice
+                    previous.result()
+                pending = writer.submit(append, *chunks)
+                written += 1
+        finally:
+            if pending is not None:
+                pending.result()
     if not written or written != count:
         raise ValueError(f"{path}: {written} frames for a header of {count}")
     return digest.hexdigest()

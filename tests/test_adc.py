@@ -19,6 +19,7 @@ from radarpose.adc import (
     serialize_cubes,
 )
 from radarpose.config import RadarConfig
+from radarpose.spectral import elevation_row_zero
 
 
 def two_channel_config():
@@ -236,37 +237,46 @@ def test_chunked_parsing_is_identical(small_config, rng):
 
 @st.composite
 def captures(draw):
+    lanes = draw(st.sampled_from([2, 4, 6]))
+    tx, rx = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    # an elevation count Q that divides the tx * rx virtual antennas
+    q = draw(st.sampled_from([q for q in (1, 2, 3) if tx * rx % q == 0]))
     cfg = RadarConfig(
-        num_adc_samples=2 * draw(st.integers(1, 4)),
+        num_adc_samples=lanes // 2 * draw(st.integers(1, 4)),
         num_chirps=draw(st.integers(1, 3)),
-        num_tx=draw(st.integers(1, 3)),
-        num_rx=draw(st.integers(1, 4)),
+        num_tx=tx, num_rx=rx, azimuth_antennas=tx * rx // q, elevation_antennas=q,
         sample_rate=1e7, chirp_slope=3e13, carrier_freq=7.7e10,
     )
-    size = frame_byte_size(AdcLayout(), cfg)
+    layout = AdcLayout(lanes=lanes)
+    size = frame_byte_size(layout, cfg)
     frames = draw(st.integers(1, 3))
-    return cfg, draw(st.binary(min_size=frames * size, max_size=frames * size))
+    return cfg, layout, draw(st.binary(min_size=frames * size, max_size=frames * size))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(captures())
 def test_parse_matches_loop_oracles_for_any_geometry(capture):
-    cfg, raw = capture
-    size = frame_byte_size(AdcLayout(), cfg)
-    cubes = parse_cubes(raw, AdcLayout(), cfg)
-    assert len(cubes) == len(raw) // size
-    for i, cube in enumerate(cubes):
+    cfg, layout, raw = capture
+    size = frame_byte_size(layout, cfg)
+    p, q = cfg.array_shape
+    cubes = parse_cubes(raw, layout, cfg)
+    # the antennas of elevation row 0 alone, as the heatmap fft branch parses them
+    rows = parse_cubes(raw, layout, cfg, antennas=elevation_row_zero(cfg))
+    assert len(cubes) == len(rows) == len(raw) // size
+    for i, (cube, row) in enumerate(zip(cubes, rows)):
         channels = decode_adc_bytes(
-            raw[i * size:(i + 1) * size], lanes=4, num_rx=cfg.num_rx,
+            raw[i * size:(i + 1) * size], lanes=layout.lanes, num_rx=cfg.num_rx,
             num_adc_samples=cfg.num_adc_samples,
             num_chirp_slots=cfg.num_chirps * cfg.num_tx,
         )
         expected = cube_reindex_loops(
             channels, cfg.num_adc_samples, cfg.num_chirps, cfg.num_tx, cfg.num_rx
         )
-        assert cube.frame_index == i
+        assert cube.frame_index == row.frame_index == i
         np.testing.assert_array_equal(cube.data, expected)
-    assert serialize_cubes(cubes, AdcLayout(), cfg) == raw
+        # virtual antenna v = p*Q + q sits at (p, q): row 0 is v = 0, Q, 2Q, ...
+        np.testing.assert_array_equal(row.data, expected[:, :, [k * q for k in range(p)]])
+    assert serialize_cubes(cubes, layout, cfg) == raw
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,8 +1,12 @@
+import errno
+import hashlib
+import io
 import json
 import threading
 import tracemalloc
 from concurrent.futures import Future
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -428,11 +432,25 @@ def test_heatmap_onto_a_directory_exits_3_and_leaves_no_part_file(tmp_path, cfg_
     assert outputs_written(tmp_path, "maps") == ["maps.tensor"]
 
 
+class RecordedSha256:
+    """hashlib.sha256 that records the thread of each update in ``threads``."""
+
+    def __init__(self, threads):
+        self.inner, self.threads = hashlib.sha256(), threads
+
+    def update(self, data):
+        self.threads.append(threading.get_ident())
+        self.inner.update(data)
+
+    def hexdigest(self):
+        return self.inner.hexdigest()
+
+
 def test_heatmap_reads_on_one_thread_computes_on_this_one_and_leaves_none(
     tmp_path, cfg_file, monkeypatch
 ):
     h, _ = simulate_both(tmp_path, cfg_file, frames=4)
-    readers, computers = set(), set()
+    readers, computers, writes, hashes = set(), set(), [], []
     parse, rd_map = adc.parse_cubes, spectral.range_doppler_map
 
     def parsing(*args, **kwargs):
@@ -443,14 +461,48 @@ def test_heatmap_reads_on_one_thread_computes_on_this_one_and_leaves_none(
         computers.add(threading.get_ident())
         return rd_map(*args, **kwargs)
 
+    class RecordedFile(io.FileIO):
+        def write(self, data):
+            writes.append(threading.get_ident())
+            return super().write(data)
+
     monkeypatch.setattr(adc, "parse_cubes", parsing)
     monkeypatch.setattr(spectral, "range_doppler_map", computing)
+    # the output tensor's file and digest, which only write_frames opens and takes
+    monkeypatch.setattr(tensorio, "open", RecordedFile, raising=False)
+    monkeypatch.setattr(tensorio, "hashlib",
+                        SimpleNamespace(sha256=lambda: RecordedSha256(hashes)))
     before = threading.active_count()
     assert main(["heatmap", str(h), "--config", cfg_file,
                  "--output", str(tmp_path / "maps.tensor")]) == EXIT_OK
     assert computers == {threading.get_ident()}
     assert len(readers) == 1 and not readers & computers
+    # the header and each frame's map, appended and hashed on the reader thread
+    assert len(writes) == len(hashes) == 1 + 4
+    assert set(writes) == set(hashes) == readers
     assert threading.active_count() == before
+
+
+def test_heatmap_append_error_wins_over_a_later_frame_error(tmp_path, cfg_file, monkeypatch,
+                                                             capsys):
+    # frame 1's append overlaps frame 2's RD map; written in turn, the append
+    # fails first, so its data error is the one reported
+    h, _ = simulate_both(tmp_path, cfg_file, frames=4)
+    writes = []
+
+    class FullDisk(io.FileIO):
+        def write(self, data):
+            writes.append(None)
+            if len(writes) == 1 + 2:  # the header, frame 0, then frame 1
+                raise OSError(errno.ENOSPC, "no room for frame 1")
+            return super().write(data)
+
+    monkeypatch.setattr(tensorio, "open", FullDisk, raising=False)
+    fail_rd_maps_of(monkeypatch, 2, ("horizontal",))
+    assert main(["heatmap", str(h), "--config", cfg_file,
+                 "--output", str(tmp_path / "maps.tensor")]) == EXIT_DATA
+    assert "data error: [Errno 28] no room for frame 1" in capsys.readouterr().err
+    assert outputs_written(tmp_path, "maps") == []
 
 
 def test_heatmap_rd_map_error_exits_4_and_leaves_no_output(tmp_path, cfg_file, monkeypatch):
@@ -496,6 +548,26 @@ def test_heatmap_manifest_digests_are_the_files_written(tmp_path, cfg_file):
     assert list(doc["inputs"]) == [str(h)] and list(doc["outputs"]) == [str(out)]
     # every flag that shapes the tensor is recorded
     assert (doc["branch"], doc["doppler_keep"], doc["doppler_window"]) == ("fft", 4, 0.5)
+    # on a 4x3 array the fft branch parses elevation row 0 alone, yet the
+    # capture digest covers every antenna: changing only the others changes
+    # it, and not the tensor
+    planar = tmp_path / "planar"
+    planar.mkdir()
+    (planar / "radar.cfg").write_text(PLANAR_CONFIG)
+    h, _ = simulate_both(planar, str(planar / "radar.cfg"))
+    out = planar / "maps.tensor"
+    argv = ["heatmap", str(h), "--config", str(planar / "radar.cfg"), "--output", str(out)]
+    tensors, digests = [], []
+    for _ in range(2):
+        assert main(argv) == EXIT_OK
+        digests.append(assert_manifest_digests_are_the_files(f"{out}.manifest.json")["inputs"])
+        tensors.append(out.read_bytes())
+        # int16 lanes (frame, chirp, antenna v, group, re|im, half): flip the
+        # low bit of every antenna but row 0's v = 0, 3, 6, 9
+        lanes = np.fromfile(h, dtype="<i2").reshape(3, 16, 12, 8, 2, 2)
+        lanes[:, :, [v for v in range(12) if v % 3]] ^= 1
+        lanes.tofile(h)
+    assert tensors[0] == tensors[1] and digests[0] != digests[1]
 
 
 def test_probmap_manifest_digests_are_the_files_written(tmp_path, cfg_file):
@@ -948,9 +1020,9 @@ def test_probmap_memory_is_bounded_by_a_few_frames(tmp_path):
     ])
     assert code == EXIT_OK
     # one frame pair, its RD maps, FFT temporaries and the previous pair come
-    # to about 9 cubes, alongside the writer thread's 1 MiB buffer hashing the
-    # captures; holding both captures would add 32 cubes of int16, and parsing
-    # them whole 2 x 64 cubes
+    # to about 9 cubes; the 1 MiB buffer is the manifest's sha256_file of the
+    # config, after the frames (the captures are hashed as read). Holding both
+    # captures would add 32 cubes of int16, and parsing them whole 2 x 64 cubes
     assert peak < (1 << 20) + 12 * CUBE_BYTES
 
 
