@@ -9,6 +9,7 @@ numeric/contract violation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -57,24 +58,20 @@ def _write_captures(args, scene, config) -> dict[str, str]:
     """Write simulate's captures and return each path's SHA-256, taken from
     the frames as they are written.
 
-    Frames stream into <output>.part files, renamed only once every frame of
-    every radar is written, so a failing frame leaves no capture behind. A
-    failing rename leaves no .part file, and removes the captures already
-    renamed, so a failing run leaves none of its outputs.
-    A horizontal error stops the worker before its next frame (``_each_radar``).
+    Frames stream into <output>.part files, committed only once every frame
+    of every radar is written (``_committed``), so a failing run leaves none
+    of its outputs. A horizontal error stops the worker before its next frame
+    (``_each_radar``).
     """
     layout = adc.AdcLayout()
     outputs = _sim_outputs(args)
-    parts = [f"{path}.part" for _, path in outputs]
-    # Every frame-sized buffer of the run is allocated here, on the main
-    # thread: the RD vectors both radars share and, per radar, the buffers
-    # its frames are synthesized through and its int16 lanes. glibc gives
-    # the worker thread its own malloc arena, which keeps the pages of freed
-    # frame-sized temporaries resident, so the worker allocates nothing
-    # frame-sized.
+    # Every frame-sized buffer of the run is allocated on the main thread,
+    # before the worker starts: the RD vectors both radars share and, per
+    # radar, the buffers its frames are synthesized through and its int16
+    # lanes. glibc gives the worker thread its own malloc arena, which keeps
+    # the pages of freed frame-sized temporaries resident, so the worker
+    # allocates nothing frame-sized.
     range_doppler = sim.range_doppler_vectors(scene, config)
-    jobs = [(radar_id, part, sim.frame_buffers(config), adc.frame_lanes(layout, config))
-            for (radar_id, _), part in zip(outputs, parts)]
     stop = threading.Event()
 
     def write_radar(radar_id, part, synth_buffers, lanes) -> str:
@@ -96,20 +93,38 @@ def _write_captures(args, scene, config) -> dict[str, str]:
                 digest.update(lanes)
         return digest.hexdigest()
 
-    from concurrent.futures import ThreadPoolExecutor  # see cmd_probmap
+    with _committed([path for _, path in outputs]) as parts, _one_thread() as worker:
+        jobs = [(radar_id, part, sim.frame_buffers(config), adc.frame_lanes(layout, config))
+                for (radar_id, _), part in zip(outputs, parts)]
+        digests = _each_radar(worker, write_radar, jobs, stop)
+    return {path: digest for (_, path), digest in zip(outputs, digests)}
 
+
+@contextlib.contextmanager
+def _committed(paths):
+    """Yield one ``<path>.part`` per path in ``paths``, to be written in the
+    block, and rename each onto its path, in order, once the block succeeds.
+    Any error, in the block or a rename, removes every .part file and every
+    path already renamed, so a failing command leaves none of its outputs."""
+    parts = [f"{path}.part" for path in paths]
     renamed = []
     try:
-        with ThreadPoolExecutor(max_workers=1) as worker:
-            digests = _each_radar(worker, write_radar, jobs, stop)
-        for (_, path), part in zip(outputs, parts):
+        yield parts
+        for part, path in zip(parts, paths):
             os.replace(part, path)
             renamed.append(path)
     except BaseException:
         for path in parts + renamed:
             Path(path).unlink(missing_ok=True)
         raise
-    return {path: digest for (_, path), digest in zip(outputs, digests)}
+
+
+def _one_thread():
+    # imported here: concurrent.futures pulls in logging, about 5 ms of
+    # start-up that the commands without threads do not need
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=1)
 
 
 def _each_radar(worker, job, radars, stop=None) -> list:
@@ -129,6 +144,25 @@ def _each_radar(worker, job, radars, stop=None) -> list:
             raise exc from error
         raise
     return results + [future.result() for future in futures]
+
+
+def _behind(executor, job, items) -> list:
+    """``job(item)`` for each of ``items``, in order, each on the one-thread
+    ``executor`` while this thread takes the next item, and the jobs'
+    results. Job k is waited on before job k+1 is submitted and before any
+    error from taking item k+1 escapes, so errors and side effects come as
+    running each job in turn would bring them."""
+    results, pending = [], None
+    try:
+        for item in items:
+            if pending is not None:
+                previous, pending = pending, None  # so finally does not wait on it twice
+                results.append(previous.result())
+            pending = executor.submit(job, item)
+    finally:
+        if pending is not None:
+            results.append(pending.result())
+    return results
 
 
 def _read_ahead(executor, items):
@@ -154,6 +188,11 @@ def _sim_outputs(args):
 
 
 def cmd_heatmap(args) -> dict:
+    """Stream the capture's maps into one tensor on two threads. This thread
+    only computes and encodes frame k's map; the reader reads, hashes and
+    parses frame k+1 (``_read_ahead``), and appends and hashes frame k-1's
+    map (``_behind``). The tensor goes to <output>.part, which is closed once
+    the reader has stopped and then committed (``_committed``)."""
     config = load_config(args.config)
     fft_branch = args.branch == "fft"
     # the fft branch reads elevation row 0 alone (``average_elevation``), so
@@ -175,24 +214,20 @@ def cmd_heatmap(args) -> dict:
                 rd = spectral.sample_doppler(rd, args.doppler_keep, args.doppler_window)
             yield np.fft.fft(rd.data, n=angle_fft, axis=2) if fft_branch else rd.data
 
-    from concurrent.futures import ThreadPoolExecutor  # see cmd_probmap
+    digest = hashlib.sha256()
 
-    # Two threads. This one only computes frame k's map; the reader reads,
-    # hashes and parses frame k+1, and appends and hashes frame k-1's map
-    # (``tensorio.write_frames``). The maps stream into <output>.part,
-    # renamed only once every frame is written.
-    part = f"{args.output}.part"
-    try:
-        with ThreadPoolExecutor(max_workers=1) as reader:
-            digest = tensorio.write_frames(part, num_frames, maps(_read_ahead(reader, cubes)),
-                                           reader)
-        os.replace(part, args.output)
-    except BaseException:
-        Path(part).unlink(missing_ok=True)
-        raise
+    def append(chunks) -> None:
+        for chunk in chunks:
+            fh.write(chunk)
+            digest.update(chunk)
+
+    with (_committed([args.output]) as (part,), open(part, "wb") as fh,
+          _one_thread() as reader):
+        chunks = tensorio.frame_chunks(num_frames, maps(_read_ahead(reader, cubes)))
+        _behind(reader, append, chunks)
     return {
         "inputs": {args.adc: capture.hexdigest()},
-        "outputs": {args.output: digest},
+        "outputs": {args.output: digest.hexdigest()},
         "extra": {"branch": args.branch, "doppler_keep": args.doppler_keep,
                   "doppler_window": args.doppler_window},
     }
@@ -274,30 +309,14 @@ def cmd_probmap(args) -> dict:
     )
     radars = [(cubes, np.empty(rd_shape, dtype=np.complex128), config, params, angle_fft)
               for cubes in (cubes_h, cubes_v)]
-    # imported here: concurrent.futures pulls in logging, about 10 ms of
-    # start-up that the commands without threads do not need
-    from concurrent.futures import ThreadPoolExecutor
-
-    outputs = {}
     # Two threads besides main. The FFT worker runs the vertical radar's
     # whole frame (read, RD map, CFAR, angle spectrum) while this thread runs
-    # the horizontal one, then the map and its encoding. The writer runs one
-    # frame behind: frame k's files are written and hashed while frame k+1
-    # is computed. Frame k's write is waited on before frame k+1's is
-    # submitted and before any error of frame k+1 escapes, so the exit code
-    # and the files on disk are those of writing each frame in turn.
-    with ThreadPoolExecutor(max_workers=1) as writer, ThreadPoolExecutor(max_workers=1) as fft:
-        pending = None
-        try:
-            for _ in range(count_h):
-                files = _probmap_frame(radars, fft, angle_fft, pe, args)
-                if pending is not None:
-                    previous, pending = pending, None  # so finally does not wait on it twice
-                    outputs.update(previous.result())
-                pending = writer.submit(_write_files, files)
-        finally:
-            if pending is not None:
-                outputs.update(pending.result())
+    # the horizontal one, then the map and its encoding. The writer writes
+    # and hashes frame k's files while frame k+1 is computed (``_behind``).
+    with _one_thread() as writer, _one_thread() as fft:
+        frames = (_probmap_frame(radars, fft, angle_fft, pe, args) for _ in range(count_h))
+        written = _behind(writer, _write_files, frames)
+    outputs = {path: digest for digests in written for path, digest in digests.items()}
     return {
         "inputs": {args.adc_h: capture_h.hexdigest(), args.adc_v: capture_v.hexdigest()},
         "outputs": outputs,
@@ -313,9 +332,11 @@ def cmd_fuse(args) -> dict:
     t1 = tensorio.read_tensor(args.tensor1)
     t2 = tensorio.read_tensor(args.tensor2)
     fused = fusion.fuse_add(fusion.FeatureTensor(values=t1), fusion.FeatureTensor(values=t2))
+    with _committed([args.output]) as (part,):
+        digest = tensorio.write_tensor(part, fused.values)
     return {
         "inputs": {args.tensor1: None, args.tensor2: None},
-        "outputs": {args.output: tensorio.write_tensor(args.output, fused.values)},
+        "outputs": {args.output: digest},
     }
 
 
@@ -331,7 +352,8 @@ def cmd_eval(args) -> dict | None:
         sys.stdout.write(text)
         return None
     data = text.encode()
-    Path(args.output).write_bytes(data)
+    with _committed([args.output]) as (part,):
+        Path(part).write_bytes(data)
     inputs = [args.pred, args.gt] + ([args.oks_config] if args.oks_config else [])
     return {
         "inputs": dict.fromkeys(inputs),

@@ -3,16 +3,18 @@
 Layout: magic "PRM3F", one version byte, one axis-count byte, axis lengths
 as unsigned 64-bit little-endian, one element-tag byte (0 = real64,
 1 = complex128), then the row-major little-endian payload.
+
+This module holds the format alone: a caller that streams frames
+(``frame_chunks``) opens, writes and commits the file on its own threads.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import math
 import os
 import struct
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -51,51 +53,25 @@ def write_tensor(path: str | Path, data: np.ndarray) -> str:
     return digest.hexdigest()
 
 
-def write_frames(path: str | Path, count: int, frames: Iterable[np.ndarray], writer) -> str:
-    """Write ``count`` frames of one shape and element type as the tensor
-    ``write_tensor(path, np.stack(frames))`` writes, one frame at a time, and
-    return the hex SHA-256 of the bytes written.
-
-    The file is opened when the first frame arrives. Each frame is encoded
-    on this thread as it arrives, then appended (the first after the
-    header) and hashed on the one-thread executor ``writer`` while the next
-    frame is taken, so the frames are never held together and ``writer``
-    allocates nothing frame-sized. Frame k's append is waited on before
-    frame k+1's is submitted, before any error of frame k+1 escapes and
-    before the file is closed, so errors come as writing each frame in turn
-    would raise them. A frame unlike the first, or a frame count other than
-    ``count`` (at least 1), raises ValueError.
-    """
-    digest, header, written, pending = hashlib.sha256(), None, 0, None
-
-    def append(*chunks) -> None:
-        for chunk in chunks:
-            fh.write(chunk)
-            digest.update(chunk)
-
-    with contextlib.ExitStack() as stack:
-        try:
-            for frame in frames:
-                frame = np.asarray(frame)
-                frame_header, payload = _encode((count, *frame.shape), frame)
-                chunks = (memoryview(payload),)
-                if header is None:
-                    header, fh = frame_header, stack.enter_context(open(path, "wb"))
-                    chunks = (header, *chunks)
-                elif frame_header != header:
-                    raise ValueError(
-                        f"{path}: frame {written} differs from frame 0 in shape or type")
-                if pending is not None:
-                    previous, pending = pending, None  # so finally does not wait on it twice
-                    previous.result()
-                pending = writer.submit(append, *chunks)
-                written += 1
-        finally:
-            if pending is not None:
-                pending.result()
+def frame_chunks(count: int, frames: Iterable[np.ndarray]) -> Iterator[tuple]:
+    """The bytes ``write_tensor(path, np.stack(frames))`` writes, as a tuple
+    of chunks per frame: the header and frame 0's payload, then each later
+    frame's payload. Each frame is encoded as it is taken, on the taker's
+    thread, so the frames are never held together. A frame unlike the first,
+    or a frame count other than ``count`` (at least 1), raises ValueError."""
+    header, written = None, 0
+    for frame in frames:
+        frame = np.asarray(frame)
+        frame_header, payload = _encode((count, *frame.shape), frame)
+        chunks = (memoryview(payload),)
+        if header is None:
+            header, chunks = frame_header, (frame_header, *chunks)
+        elif frame_header != header:
+            raise ValueError(f"frame {written} differs from frame 0 in shape or type")
+        yield chunks
+        written += 1
     if not written or written != count:
-        raise ValueError(f"{path}: {written} frames for a header of {count}")
-    return digest.hexdigest()
+        raise ValueError(f"{written} frames for a header of {count}")
 
 
 def read_tensor(path: str | Path) -> np.ndarray:

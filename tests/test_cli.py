@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from radarpose import __version__, adc, cfar, manifest, probmap, sim, spectral, tensorio
+from radarpose import __version__, adc, cfar, cli, manifest, probmap, sim, spectral, tensorio
 from radarpose.cli import EXIT_CONTRACT, EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
 from radarpose.config import config_text, load_config
 from radarpose.manifest import sha256_file
@@ -468,17 +468,18 @@ def test_heatmap_reads_on_one_thread_computes_on_this_one_and_leaves_none(
 
     monkeypatch.setattr(adc, "parse_cubes", parsing)
     monkeypatch.setattr(spectral, "range_doppler_map", computing)
-    # the output tensor's file and digest, which only write_frames opens and takes
-    monkeypatch.setattr(tensorio, "open", RecordedFile, raising=False)
-    monkeypatch.setattr(tensorio, "hashlib",
-                        SimpleNamespace(sha256=lambda: RecordedSha256(hashes)))
+    # the output tensor's file, the one file cmd_heatmap opens, and the
+    # digests it takes: the capture's and the output's
+    monkeypatch.setattr(cli, "open", RecordedFile, raising=False)
+    monkeypatch.setattr(cli, "hashlib", SimpleNamespace(sha256=lambda: RecordedSha256(hashes)))
     before = threading.active_count()
     assert main(["heatmap", str(h), "--config", cfg_file,
                  "--output", str(tmp_path / "maps.tensor")]) == EXIT_OK
     assert computers == {threading.get_ident()}
     assert len(readers) == 1 and not readers & computers
-    # the header and each frame's map, appended and hashed on the reader thread
-    assert len(writes) == len(hashes) == 1 + 4
+    # each frame of the capture, read and hashed, then the header and each
+    # frame's map, appended and hashed, all on the reader thread
+    assert len(writes) == 1 + 4 and len(hashes) == 4 + 1 + 4
     assert set(writes) == set(hashes) == readers
     assert threading.active_count() == before
 
@@ -497,12 +498,23 @@ def test_heatmap_append_error_wins_over_a_later_frame_error(tmp_path, cfg_file, 
                 raise OSError(errno.ENOSPC, "no room for frame 1")
             return super().write(data)
 
-    monkeypatch.setattr(tensorio, "open", FullDisk, raising=False)
+    monkeypatch.setattr(cli, "open", FullDisk, raising=False)
     fail_rd_maps_of(monkeypatch, 2, ("horizontal",))
     assert main(["heatmap", str(h), "--config", cfg_file,
                  "--output", str(tmp_path / "maps.tensor")]) == EXIT_DATA
     assert "data error: [Errno 28] no room for frame 1" in capsys.readouterr().err
     assert outputs_written(tmp_path, "maps") == []
+
+
+def test_heatmap_output_that_cannot_be_created_wins_over_a_frame_0_error(
+    tmp_path, cfg_file, monkeypatch, capsys
+):
+    # <output>.part is opened before frame 0 is read, so its error comes first
+    h, _ = simulate_both(tmp_path, cfg_file)
+    fail_rd_maps_of(monkeypatch, 0, ("horizontal",))
+    assert main(["heatmap", str(h), "--config", cfg_file,
+                 "--output", str(tmp_path / "missing" / "maps.tensor")]) == EXIT_DATA
+    assert "maps.tensor.part" in capsys.readouterr().err
 
 
 def test_heatmap_rd_map_error_exits_4_and_leaves_no_output(tmp_path, cfg_file, monkeypatch):
@@ -1068,6 +1080,24 @@ def test_fuse_unsupported_tensor_version_exits_3(tmp_path, capsys):
     assert outputs_written(tmp_path, "o") == []
 
 
+def test_fuse_out_of_space_exits_3_and_leaves_no_output(tmp_path, monkeypatch, capsys):
+    a = tmp_path / "a.tensor"
+    write_tensor(a, np.zeros((2, 3)))
+    writes = []
+
+    class FullDisk(io.FileIO):
+        def write(self, data):
+            writes.append(None)
+            if len(writes) == 2:  # the header, then the payload
+                raise OSError(errno.ENOSPC, "no room for the payload")
+            return super().write(data)
+
+    monkeypatch.setattr(tensorio, "open", FullDisk, raising=False)
+    assert main(["fuse", str(a), str(a), "--output", str(tmp_path / "o.tensor")]) == EXIT_DATA
+    assert "data error: [Errno 28] no room for the payload" in capsys.readouterr().err
+    assert outputs_written(tmp_path, "o") == []
+
+
 def test_eval_perfect_prediction(tmp_path):
     doc = [keypoint_doc()]
     for name in ("pred.json", "gt.json"):
@@ -1125,6 +1155,20 @@ def test_eval_swapped_frame_numbers_exit_3_and_write_nothing(tmp_path, capsys):
     assert main(["eval", str(pred), str(gt), "--output", str(tmp_path / "m.json")]) == EXIT_DATA
     assert ("frame at position 0: prediction is frame 1, ground truth is frame 0"
             in capsys.readouterr().err)
+    assert outputs_written(tmp_path, "m") == []
+
+
+def test_eval_out_of_space_exits_3_and_leaves_no_output(tmp_path, monkeypatch, capsys):
+    pred, gt = write_head_only_pair(tmp_path, 1.0)
+
+    def half_then_full(path, data):
+        with open(path, "wb") as fh:
+            fh.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "no room for the metrics")
+
+    monkeypatch.setattr(Path, "write_bytes", half_then_full)
+    assert main(["eval", pred, gt, "--output", str(tmp_path / "m.json")]) == EXIT_DATA
+    assert "data error: [Errno 28] no room for the metrics" in capsys.readouterr().err
     assert outputs_written(tmp_path, "m") == []
 
 

@@ -1,14 +1,13 @@
 import hashlib
 import struct
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from radarpose.tensorio import MAGIC, TensorFormatError, read_tensor, write_frames, write_tensor
+from radarpose.tensorio import MAGIC, TensorFormatError, frame_chunks, read_tensor, write_tensor
 
 
 def test_real_round_trip(tmp_path, rng):
@@ -33,40 +32,21 @@ def test_empty_axis(tmp_path):
     assert read_tensor(path).shape == (0, 8, 8)
 
 
-@pytest.fixture
-def writer():
-    """The one-thread executor write_frames appends and hashes frames on."""
-    with ThreadPoolExecutor(max_workers=1) as executor:
-        yield executor
-
-
 @pytest.mark.parametrize("frame_shape", [(5,), (3, 4), (2, 3, 4)])
 @pytest.mark.parametrize("complex_", [False, True])
-def test_write_frames_is_write_tensor_of_the_stack(
-    tmp_path, rng, writer, frame_shape, complex_
-):
+def test_write_frames_is_write_tensor_of_the_stack(tmp_path, rng, frame_shape, complex_):
     frames = [rng.standard_normal(frame_shape) for _ in range(3)]
     if complex_:
         frames = [f + 1j * rng.standard_normal(frame_shape) for f in frames]
     # a frame in another layout is written in row-major order all the same
     frames[1] = np.asfortranarray(frames[1])
     whole = write_tensor(tmp_path / "whole.tensor", np.stack(frames))
-    streamed = write_frames(tmp_path / "frames.tensor", 3, iter(frames), writer)
-    raw = (tmp_path / "frames.tensor").read_bytes()
+    chunks = list(frame_chunks(3, iter(frames)))
+    # the header goes with frame 0
+    assert [len(frame) for frame in chunks] == [2, 1, 1]
+    raw = b"".join(chunk for frame in chunks for chunk in frame)
     assert raw == (tmp_path / "whole.tensor").read_bytes()
-    assert streamed == whole == hashlib.sha256(raw).hexdigest()
-
-
-def test_write_frames_opens_the_file_at_the_first_frame(tmp_path, writer):
-    path = tmp_path / "t.tensor"
-
-    def frames():
-        assert not path.exists()
-        yield np.zeros(2)
-        assert path.exists()
-
-    write_frames(path, 1, frames(), writer)
-    assert read_tensor(path).shape == (1, 2)
+    assert whole == hashlib.sha256(raw).hexdigest()
 
 
 @pytest.mark.parametrize("count, frames", [
@@ -76,9 +56,9 @@ def test_write_frames_opens_the_file_at_the_first_frame(tmp_path, writer):
     (1, [np.zeros(3), np.zeros(3)]),
     (0, []),
 ])
-def test_write_frames_rejects_unlike_frames_or_a_wrong_count(tmp_path, writer, count, frames):
+def test_write_frames_rejects_unlike_frames_or_a_wrong_count(count, frames):
     with pytest.raises(ValueError, match="frame"):
-        write_frames(tmp_path / "t.tensor", count, frames, writer)
+        list(frame_chunks(count, frames))
 
 
 def test_read_tensor_holds_one_copy_of_the_payload(tmp_path, rng):
