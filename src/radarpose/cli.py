@@ -35,19 +35,25 @@ EXIT_CONTRACT = 4
 DEFAULT_ADC_SCALE = 1000.0  # simulator amplitude -> int16 quantization scale
 
 
+def _hashed(read, path):
+    """``read(path, digest=...)`` and the hex SHA-256 of the bytes it read."""
+    digest = hashlib.sha256()
+    return read(path, digest=digest), digest.hexdigest()
+
+
 def cmd_simulate(args) -> dict:
-    config = load_config(args.config)
+    config, config_sha256 = _hashed(load_config, args.config)
     if args.frames < 1:
         raise sim.SimError(f"--frames must be >= 1, got {args.frames}")
     if not 0 < args.scale < math.inf:
         raise sim.SimError(f"--scale must be finite and > 0, got {args.scale}")
-    scene = sim.SceneSpec.load(args.scene)
+    scene, scene_sha256 = _hashed(sim.SceneSpec.load, args.scene)
     if args.seed is not None:
         scene = sim.SceneSpec(targets=scene.targets, snr_db=scene.snr_db, noise_seed=args.seed)
     for w in sim.scene_warnings(scene, config):
         print(f"warning: {w}", file=sys.stderr)
     return {
-        "inputs": {args.scene: None},
+        "config_sha256": config_sha256, "inputs": {args.scene: scene_sha256},
         "outputs": _write_captures(args, scene, config),
         "seed": scene.noise_seed,
         "extra": {"frames": args.frames, "scale": args.scale},
@@ -193,7 +199,7 @@ def cmd_heatmap(args) -> dict:
     parses frame k+1 (``_read_ahead``), and appends and hashes frame k-1's
     map (``_behind``). The tensor goes to <output>.part, which is closed once
     the reader has stopped and then committed (``_committed``)."""
-    config = load_config(args.config)
+    config, config_sha256 = _hashed(load_config, args.config)
     fft_branch = args.branch == "fft"
     # the fft branch reads elevation row 0 alone (``average_elevation``), so
     # only those antennas are parsed; the capture is still hashed whole
@@ -226,7 +232,7 @@ def cmd_heatmap(args) -> dict:
         chunks = tensorio.frame_chunks(num_frames, maps(_read_ahead(reader, cubes)))
         _behind(reader, append, chunks)
     return {
-        "inputs": {args.adc: capture.hexdigest()},
+        "config_sha256": config_sha256, "inputs": {args.adc: capture.hexdigest()},
         "outputs": {args.output: digest.hexdigest()},
         "extra": {"branch": args.branch, "doppler_keep": args.doppler_keep,
                   "doppler_window": args.doppler_window},
@@ -290,7 +296,7 @@ def _write_files(files: list[tuple[str, object]]) -> dict[str, str]:
 
 
 def cmd_probmap(args) -> dict:
-    config = load_config(args.config)
+    config, config_sha256 = _hashed(load_config, args.config)
     angle_fft = spectral.angle_fft_length(config, args.angle_fft)
     # each capture is hashed from its frames as they are read, so it is read once
     capture_h, capture_v = hashlib.sha256(), hashlib.sha256()
@@ -318,6 +324,7 @@ def cmd_probmap(args) -> dict:
         written = _behind(writer, _write_files, frames)
     outputs = {path: digest for digests in written for path, digest in digests.items()}
     return {
+        "config_sha256": config_sha256,
         "inputs": {args.adc_h: capture_h.hexdigest(), args.adc_v: capture_v.hexdigest()},
         "outputs": outputs,
         "extra": {
@@ -329,21 +336,23 @@ def cmd_probmap(args) -> dict:
 
 
 def cmd_fuse(args) -> dict:
-    t1 = tensorio.read_tensor(args.tensor1)
-    t2 = tensorio.read_tensor(args.tensor2)
+    t1, sha1 = _hashed(tensorio.read_tensor, args.tensor1)
+    t2, sha2 = _hashed(tensorio.read_tensor, args.tensor2)
     fused = fusion.fuse_add(fusion.FeatureTensor(values=t1), fusion.FeatureTensor(values=t2))
     with _committed([args.output]) as (part,):
         digest = tensorio.write_tensor(part, fused.values)
     return {
-        "inputs": {args.tensor1: None, args.tensor2: None},
+        "inputs": {args.tensor1: sha1, args.tensor2: sha2},
         "outputs": {args.output: digest},
     }
 
 
 def cmd_eval(args) -> dict | None:
-    preds = load_keypoint_frames(args.pred)
-    gts = load_keypoint_frames(args.gt)
-    params = load_oks_params(args.oks_config) if args.oks_config else OksParams()
+    preds, pred_sha256 = _hashed(load_keypoint_frames, args.pred)
+    gts, gt_sha256 = _hashed(load_keypoint_frames, args.gt)
+    inputs, params = {args.pred: pred_sha256, args.gt: gt_sha256}, OksParams()
+    if args.oks_config:
+        params, inputs[args.oks_config] = _hashed(load_oks_params, args.oks_config)
     values = oks_per_frame(preds, gts, params)
     report = ap_summary(values)
     report["per_frame_oks"] = values
@@ -354,9 +363,8 @@ def cmd_eval(args) -> dict | None:
     data = text.encode()
     with _committed([args.output]) as (part,):
         Path(part).write_bytes(data)
-    inputs = [args.pred, args.gt] + ([args.oks_config] if args.oks_config else [])
     return {
-        "inputs": dict.fromkeys(inputs),
+        "inputs": inputs,
         "outputs": {args.output: hashlib.sha256(data).hexdigest()},
     }
 
@@ -425,8 +433,8 @@ def main(argv=None) -> int:
         # a command returns the manifest record of its run, or None if it wrote no file
         record = args.func(args)
         if record is not None:
-            write_manifest(f"{args.output}.manifest.json", command=args.command,
-                           config_path=getattr(args, "config", None), **record)
+            with _committed([f"{args.output}.manifest.json"]) as (part,):
+                write_manifest(part, command=args.command, **record)
         return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

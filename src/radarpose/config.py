@@ -171,8 +171,16 @@ def parse_config_text(text: str) -> RadarConfig:
     return RadarConfig(**values)
 
 
-def load_config(path: str | Path) -> RadarConfig:
-    return parse_config_text(Path(path).read_text())
+def read_text(path: str | Path, digest=None) -> str:
+    """The file's bytes, read once and added to ``digest`` (if given), decoded as UTF-8."""
+    data = Path(path).read_bytes()
+    if digest is not None:
+        digest.update(data)
+    return data.decode()
+
+
+def load_config(path: str | Path, digest=None) -> RadarConfig:
+    return parse_config_text(read_text(path, digest))
 
 
 def config_text(cfg: RadarConfig) -> str:

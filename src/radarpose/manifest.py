@@ -9,7 +9,8 @@ from pathlib import Path
 
 
 def sha256_file(path: str | Path) -> str:
-    """Hex SHA-256 of a file, read through one reused 1 MiB buffer."""
+    """Hex SHA-256 of a file, read through one reused 1 MiB buffer. No command
+    calls it; it checks a manifest's digests against the files on disk."""
     h = hashlib.sha256()
     buf = bytearray(1 << 20)
     view = memoryview(buf)
@@ -22,28 +23,26 @@ def sha256_file(path: str | Path) -> str:
 def write_manifest(
     path: str | Path,
     command: str,
-    inputs: dict[str, str | None],
+    inputs: dict[str, str],
     outputs: dict[str, str],
     seed: int | None = None,
-    config_path: str | Path | None = None,
+    config_sha256: str | None = None,
     extra: dict | None = None,
 ) -> None:
     """Record command, content digests, seed and tool version for one run.
 
-    ``outputs`` maps each path to the hex SHA-256 of the bytes written there;
-    ``inputs`` maps each path to its digest, or to None to hash the file from
-    disk. The manifest carries the wall-clock timestamp, so it is excluded
-    from byte-identity comparisons; the artifacts themselves are
-    deterministic.
+    Every digest is the hex SHA-256 of the bytes the command read (``inputs``
+    and ``config_sha256``) or wrote (``outputs``), so this only formats: it
+    opens no file but ``path``. The manifest carries the wall-clock
+    timestamp, so it is excluded from byte-identity comparisons; the
+    artifacts themselves are deterministic.
     """
     from . import __version__
 
     doc = {
         "command": command,
-        "config_sha256": sha256_file(config_path) if config_path else None,
-        "inputs": {
-            str(p): sha256_file(p) if digest is None else digest for p, digest in inputs.items()
-        },
+        "config_sha256": config_sha256,
+        "inputs": {str(p): digest for p, digest in inputs.items()},
         "outputs": {str(p): digest for p, digest in outputs.items()},
         "seed": seed,
         "tool_version": __version__,

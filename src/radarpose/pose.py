@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import load_json, read_json_object, read_key_values
+from .config import load_json, read_json_object, read_key_values, read_text
 
 JOINT_NAMES = (
     "head", "neck",
@@ -155,9 +155,9 @@ def ap_summary(oks_values) -> dict:
     }
 
 
-def load_keypoint_frames(path: str | Path) -> list[KeypointSet]:
+def load_keypoint_frames(path: str | Path, digest=None) -> list[KeypointSet]:
     """Read a JSON list of keypoint frames (or a single frame object)."""
-    doc = load_json(Path(path).read_text(), str(path), PoseError)
+    doc = load_json(read_text(path, digest), str(path), PoseError)
     if isinstance(doc, dict):
         doc = [doc]
     if not isinstance(doc, list):
@@ -165,11 +165,11 @@ def load_keypoint_frames(path: str | Path) -> list[KeypointSet]:
     return [KeypointSet.from_json(frame, f"{path} frame {i}") for i, frame in enumerate(doc)]
 
 
-def load_oks_params(path: str | Path) -> OksParams:
+def load_oks_params(path: str | Path, digest=None) -> OksParams:
     """Read sigmas from a ``sigma_<joint> = value`` file in the radar-config
     line format; joints it does not name keep their ``DEFAULT_SIGMAS`` value."""
     sigmas = read_key_values(
-        Path(path).read_text(), {f"sigma_{n}": float for n in JOINT_NAMES}, PoseError
+        read_text(path, digest), {f"sigma_{n}": float for n in JOINT_NAMES}, PoseError
     )
     return OksParams(sigmas=tuple(
         sigmas.get(f"sigma_{n}", d) for n, d in zip(JOINT_NAMES, DEFAULT_SIGMAS)

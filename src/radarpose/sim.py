@@ -42,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from .adc import HORIZONTAL, RadarCube
-from .config import RadarConfig, load_json, read_json_object
+from .config import RadarConfig, load_json, read_json_object, read_text
 from .spectral import AZIMUTH, P_AXIS_ANGLE
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -117,8 +117,8 @@ class SceneSpec:
             raise SceneError(str(exc)) from exc
 
     @staticmethod
-    def load(path: str | Path) -> "SceneSpec":
-        return SceneSpec.from_json(Path(path).read_text())
+    def load(path: str | Path, digest=None) -> "SceneSpec":
+        return SceneSpec.from_json(read_text(path, digest))
 
 
 # scene JSON keys and their types, from the dataclass hints ("range" is range_m)

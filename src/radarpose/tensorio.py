@@ -74,27 +74,25 @@ def frame_chunks(count: int, frames: Iterable[np.ndarray]) -> Iterator[tuple]:
         raise ValueError(f"{written} frames for a header of {count}")
 
 
-def read_tensor(path: str | Path) -> np.ndarray:
+def read_tensor(path: str | Path, digest=None) -> np.ndarray:
     """Read a tensor file into one new array: the size is checked against
-    the header before the payload is read straight into that array."""
+    the header before the payload is read straight into that array.
+    ``digest`` (a hashlib object, if given) is updated with every byte read."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         head = fh.read(len(MAGIC) + 2)
         if head[: len(MAGIC)] != MAGIC:
             raise TensorFormatError(f"{path}: bad magic {head[:5]!r}")
-        off = len(MAGIC)
-        if len(head) < off + 2:
+        if len(head) < len(MAGIC) + 2:
             raise TensorFormatError(f"{path}: truncated header")
-        version, ndim = head[off], head[off + 1]
+        version, ndim = head[-2:]
         if version != VERSION:
             raise TensorFormatError(f"{path}: unsupported version {version}")
-        off += 2
         table = fh.read(8 * ndim + 1)
         if len(table) < 8 * ndim + 1:
             raise TensorFormatError(f"{path}: truncated axis table")
         shape = struct.unpack_from(f"<{ndim}Q", table)
-        tag = table[-1]
-        off += len(table)
+        tag, header = table[-1], head + table
         if tag == _TAG_REAL64:
             dtype, itemsize = np.dtype("<f8"), 8
         elif tag == _TAG_COMPLEX128:
@@ -102,7 +100,7 @@ def read_tensor(path: str | Path) -> np.ndarray:
         else:
             raise TensorFormatError(f"{path}: unknown element tag {tag}")
         count = math.prod(shape)  # Python ints: a huge axis table cannot wrap to a small count
-        expected = off + count * itemsize
+        expected = len(header) + count * itemsize
         if size != expected:
             raise TensorFormatError(
                 f"{path}: payload size mismatch, expected {expected} bytes, got {size}"
@@ -113,7 +111,9 @@ def read_tensor(path: str | Path) -> np.ndarray:
             raise TensorFormatError(f"{path}: unsupported axis table {shape}: {exc}") from exc
         got = fh.readinto(out.reshape(-1).view(np.uint8))
         if got != out.nbytes:
-            raise TensorFormatError(
-                f"{path}: payload size mismatch, expected {expected} bytes, read {off + got}"
-            )
+            raise TensorFormatError(f"{path}: payload size mismatch, expected {expected} bytes, "
+                                    f"read {len(header) + got}")
+        if digest is not None:
+            digest.update(header)
+            digest.update(out)
         return out

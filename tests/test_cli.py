@@ -1,7 +1,9 @@
+import contextlib
 import errno
 import hashlib
 import io
 import json
+import os
 import threading
 import tracemalloc
 from concurrent.futures import Future
@@ -469,7 +471,7 @@ def test_heatmap_reads_on_one_thread_computes_on_this_one_and_leaves_none(
     monkeypatch.setattr(adc, "parse_cubes", parsing)
     monkeypatch.setattr(spectral, "range_doppler_map", computing)
     # the output tensor's file, the one file cmd_heatmap opens, and the
-    # digests it takes: the capture's and the output's
+    # digests it takes: the config's, the capture's and the output's
     monkeypatch.setattr(cli, "open", RecordedFile, raising=False)
     monkeypatch.setattr(cli, "hashlib", SimpleNamespace(sha256=lambda: RecordedSha256(hashes)))
     before = threading.active_count()
@@ -477,10 +479,12 @@ def test_heatmap_reads_on_one_thread_computes_on_this_one_and_leaves_none(
                  "--output", str(tmp_path / "maps.tensor")]) == EXIT_OK
     assert computers == {threading.get_ident()}
     assert len(readers) == 1 and not readers & computers
-    # each frame of the capture, read and hashed, then the header and each
-    # frame's map, appended and hashed, all on the reader thread
-    assert len(writes) == 1 + 4 and len(hashes) == 4 + 1 + 4
-    assert set(writes) == set(hashes) == readers
+    # the config, hashed as it is read, on this thread before the reader
+    # starts; then each frame of the capture, read and hashed, then the header
+    # and each frame's map, appended and hashed, all on the reader thread
+    assert len(writes) == 1 + 4 and len(hashes) == 1 + 4 + 1 + 4
+    assert hashes[0] == threading.get_ident()
+    assert set(writes) == set(hashes[1:]) == readers
     assert threading.active_count() == before
 
 
@@ -592,14 +596,9 @@ def test_probmap_manifest_digests_are_the_files_written(tmp_path, cfg_file):
 
 
 def test_no_command_reads_an_output_back_to_hash_it(tmp_path, cfg_file, monkeypatch):
+    # nor an input: every digest comes from the bytes the command read or wrote
     hashed = []
-    original = manifest.sha256_file
-
-    def recording(path):
-        hashed.append(str(path))
-        return original(path)
-
-    monkeypatch.setattr(manifest, "sha256_file", recording)
+    monkeypatch.setattr(manifest, "sha256_file", lambda path: hashed.append(str(path)))
     scene = write_scene(tmp_path, targets=[{"range": 6.0, "azimuth": 0.2}], snr_db=20)
     h, v = str(tmp_path / "cap.h.bin"), str(tmp_path / "cap.v.bin")
     (tmp_path / "gt.json").write_text(json.dumps([keypoint_doc()]))
@@ -615,16 +614,113 @@ def test_no_command_reads_an_output_back_to_hash_it(tmp_path, cfg_file, monkeypa
                          "--output", str(tmp_path / "metrics.json")],
     }
     for name, argv in runs.items():
-        hashed.clear()
         assert main(argv) == EXIT_OK, name
-        doc = assert_manifest_digests_are_the_files(tmp_path / f"{name}.manifest.json")
-        if name in ("maps.tensor", "out"):
-            # heatmap and probmap hash their captures from the frames as they
-            # read them: once
-            assert not {h, v} & set(hashed), name
-        else:
-            assert set(doc["inputs"]) <= set(hashed), name
-        assert not set(hashed) & set(doc["outputs"]), name
+        assert hashed == [], name
+        assert_manifest_digests_are_the_files(tmp_path / f"{name}.manifest.json")
+
+
+@contextlib.contextmanager
+def fifo_serving(path, data):
+    """A FIFO at ``path`` whose first reader reads ``data``, and every later
+    reader nothing, as a second open of a shell's ``<(cat file)`` does."""
+    os.mkfifo(path)
+    done = threading.Event()
+
+    def serve():
+        payload = data
+        while not done.is_set():
+            with open(path, "wb") as fh:
+                fh.write(payload)
+            payload = b""
+
+    writer = threading.Thread(target=serve)
+    writer.start()
+    try:
+        yield str(path)
+    finally:
+        done.set()
+        # a reader that never reads lets the writer's pending open return
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+        writer.join()
+        os.close(fd)
+
+
+def test_simulate_from_fifos_records_the_digests_of_the_bytes_read(tmp_path, cfg_file):
+    scene = write_scene(tmp_path, targets=[{"range": 6.0, "azimuth": 0.2}], snr_db=20)
+    argv = ["--radar", "both", "--frames", "2"]
+    assert main(["simulate", scene, "--config", cfg_file,
+                 "--output", str(tmp_path / "file.bin"), *argv]) == EXIT_OK
+    config_bytes, scene_bytes = Path(cfg_file).read_bytes(), Path(scene).read_bytes()
+    with (fifo_serving(tmp_path / "cfg.fifo", config_bytes) as cfg_fifo,
+          fifo_serving(tmp_path / "scene.fifo", scene_bytes) as scene_fifo):
+        assert main(["simulate", scene_fifo, "--config", cfg_fifo,
+                     "--output", str(tmp_path / "fifo.bin"), *argv]) == EXIT_OK
+    doc = json.loads((tmp_path / "fifo.bin.manifest.json").read_text())
+    assert doc["config_sha256"] == hashlib.sha256(config_bytes).hexdigest()
+    assert doc["inputs"] == {scene_fifo: hashlib.sha256(scene_bytes).hexdigest()}
+    for r in "hv":
+        assert sha256_file(tmp_path / f"fifo.{r}.bin") == sha256_file(tmp_path / f"file.{r}.bin")
+
+
+def test_fuse_and_eval_onto_an_input_record_its_digest_as_read(tmp_path):
+    a, b = tmp_path / "a.tensor", tmp_path / "b.tensor"
+    write_tensor(a, np.ones((2, 3)))
+    write_tensor(b, np.full((2, 3), 2.0))
+    before = {str(a): sha256_file(a), str(b): sha256_file(b)}
+    assert main(["fuse", str(a), str(b), "--output", str(a)]) == EXIT_OK
+    np.testing.assert_array_equal(read_tensor(a), np.full((2, 3), 3.0))
+    doc = json.loads((tmp_path / "a.tensor.manifest.json").read_text())
+    assert doc["inputs"] == before and doc["outputs"] == {str(a): sha256_file(a)}
+
+    pred, gt = write_head_only_pair(tmp_path, 1.0)
+    before = {pred: sha256_file(pred), gt: sha256_file(gt)}
+    assert main(["eval", pred, gt, "--output", gt]) == EXIT_OK
+    assert "AP" in json.loads(Path(gt).read_text())
+    doc = json.loads(Path(f"{gt}.manifest.json").read_text())
+    assert doc["inputs"] == before and doc["outputs"] == {gt: sha256_file(gt)}
+
+
+def test_an_input_named_twice_is_read_and_hashed_once_per_argument(tmp_path, monkeypatch):
+    made = []
+
+    def sha256(data=b""):
+        made.append(hashlib.sha256(data))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "hashlib", SimpleNamespace(sha256=sha256))
+    a = tmp_path / "a.tensor"
+    write_tensor(a, np.arange(6.0).reshape(2, 3))
+    assert main(["fuse", str(a), str(a), "--output", str(tmp_path / "o.tensor")]) == EXIT_OK
+    doc = json.loads((tmp_path / "o.tensor.manifest.json").read_text())
+    # each argument's read has a digest object of its own: a shared one
+    # would hold the file's bytes twice over
+    assert doc["inputs"] == {str(a): sha256_file(a)}
+    assert [d.hexdigest() for d in made] == [sha256_file(a)] * 2
+
+    made.clear()
+    _, gt = write_head_only_pair(tmp_path, 0.0)
+    assert main(["eval", gt, gt, "--output", str(tmp_path / "m.json")]) == EXIT_OK
+    doc = json.loads((tmp_path / "m.json.manifest.json").read_text())
+    assert doc["inputs"] == {gt: sha256_file(gt)}
+    # the two reads, then the metrics written
+    assert [d.hexdigest() for d in made[:2]] == [sha256_file(gt)] * 2 and len(made) == 3
+
+
+def test_manifest_out_of_space_exits_3_and_leaves_no_manifest(tmp_path, cfg_file, monkeypatch,
+                                                               capsys):
+    scene = write_scene(tmp_path, targets=[{"range": 5.0}])
+
+    def half_then_full(path, text):
+        with open(path, "w") as fh:
+            fh.write(text[: len(text) // 2])
+        raise OSError(errno.ENOSPC, "no room for the manifest")
+
+    monkeypatch.setattr(Path, "write_text", half_then_full)
+    out = tmp_path / "cap.bin"
+    assert main(["simulate", scene, "--config", cfg_file, "--output", str(out)]) == EXIT_DATA
+    assert "data error: [Errno 28] no room for the manifest" in capsys.readouterr().err
+    # the capture was committed before the manifest was written, and stays
+    assert outputs_written(tmp_path, "cap") == ["cap.bin"]
 
 
 @pytest.fixture(scope="module")
@@ -974,11 +1070,9 @@ def test_simulate_memory_is_bounded_by_a_few_frames(tmp_path):
     code, peak = traced_peak(argv)
     assert code == EXIT_OK
     # per radar one cube, half a cube its noise and its rounding share, and a
-    # quarter cube of int16 lanes, freed before the one reused 1 MiB buffer
-    # the manifest reads the scene and config through (the captures' digests
-    # come from the frames as written); holding the whole capture as cubes
-    # would take 2 x 64 cubes and their scaled copies
-    assert peak < (1 << 20) + 8 * CUBE_BYTES
+    # quarter cube of int16 lanes; holding the whole capture as cubes would
+    # take 2 x 64 cubes and their scaled copies
+    assert peak < 8 * CUBE_BYTES
 
 
 def test_heatmap_memory_is_bounded_by_output_and_a_few_frames(tmp_path):
@@ -1003,8 +1097,7 @@ def test_heatmap_memory_is_bounded_by_a_few_frames(tmp_path, branch):
                               "--output", str(tmp_path / "maps.tensor"), "--branch", branch])
     assert code == EXIT_OK
     # the frames need two cube buffers, the frame in hand and its FFT
-    # temporaries; the manifest's 1 MiB buffer (8 cubes) comes after they
-    # are freed. Holding the output would add 64 cubes.
+    # temporaries. Holding the output would add 64 cubes.
     assert peak < 12 * CUBE_BYTES
 
 
@@ -1032,9 +1125,10 @@ def test_probmap_memory_is_bounded_by_a_few_frames(tmp_path):
     ])
     assert code == EXIT_OK
     # one frame pair, its RD maps, FFT temporaries and the previous pair come
-    # to about 9 cubes; the 1 MiB buffer is the manifest's sha256_file of the
-    # config, after the frames (the captures are hashed as read). Holding both
-    # captures would add 32 cubes of int16, and parsing them whole 2 x 64 cubes
+    # to about 11 cubes. The 1 MiB covers what only a process's first probmap
+    # run allocates, about 2 cubes: the numpy.fft import and CFAR's cached
+    # ring plan. Holding both captures would add 32 cubes of int16, and
+    # parsing them whole 2 x 64 cubes
     assert peak < (1 << 20) + 12 * CUBE_BYTES
 
 
